@@ -30,6 +30,7 @@ from .bessel import (
     bessel_i,
     bessel_i0,
     bessel_i1,
+    bessel_i_scaled,
     min_coupling_factor,
     poisson_equal_probability,
     poisson_within_one_probability,
@@ -39,6 +40,7 @@ from .estimators import (
     Dataset,
     HistogramCounts,
     bernstein_cdf,
+    bernstein_cdf_many,
     bernstein_density,
     density_from_counts,
     empirical_cdf,

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .asymptotics import BoundaryProfile, cdf_mse, density_mse, density_mse_shoulder
 from .errors import SizeLimitError, ValidationError
-from .estimators import Dataset, bernstein_cdf, bernstein_density
+from .estimators import Dataset, bernstein_cdf_many, density_from_counts, histogram_counts
 from .lattice_sums import min_coupling_diagnostics, pmf_square_diagnostics, write_diagnostics_csv
 from .moments import MomentQuery, central_moment_analytic, central_moment_bruteforce
 from .montecarlo import Experiment, band_summary, build_model, run_experiment, write_mc_csv
@@ -106,13 +106,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise ValidationError("--m: bandwidth must be >= 1")
     writer = csv.writer(sys.stdout)
     writer.writerow([f"x{i + 1}" for i in range(data.d)] + ["estimate"])
-    for row in points.points:
-        point = SimplexPoint.of(row)
-        if args.kind == "density":
-            value = bernstein_density(data, args.m, point)
-        else:
-            value = bernstein_cdf(data, args.m, point)
-        writer.writerow([repr(float(c)) for c in row] + [repr(value)])
+    if args.kind == "density":
+        counts = histogram_counts(data, args.m)
+        values = [density_from_counts(counts, data.n, row) for row in points.points]
+    else:
+        values = bernstein_cdf_many(data, args.m, points.points)
+    for row, value in zip(points.points, values):
+        writer.writerow([repr(float(c)) for c in row] + [repr(float(value))])
     return 0
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,9 +28,6 @@ from .simplex import (
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
-
-# chunk size (in lattice points x rows) for the generic cdf evaluation
-_CDF_CHUNK = 2_000_000
 
 
 def _validated_points(arr: np.ndarray, tol: float) -> np.ndarray:
@@ -126,20 +124,67 @@ def empirical_cdf(data: Dataset, x: "SimplexPoint | float | Sequence[float]") ->
     return float(np.all(data.points <= x.array, axis=1).mean())
 
 
+def _upper_grid_index(points: np.ndarray, m: int) -> np.ndarray:
+    """Per coordinate, the number of grid values ``j/m`` strictly below it.
+
+    Equal to ``np.searchsorted(np.arange(m + 1) / m, points, side="left")``,
+    so ``x <= k/m`` holds exactly when the index is at most ``k``.  It is
+    computed as ``ceil(m*x)`` and then moved one step wherever rounding put
+    it on the wrong side of the grid value ``j/m`` it is compared with.
+    Coordinates must lie in ``[0, 1]``.
+    """
+    u = np.multiply(points, m)
+    np.ceil(u, out=u)
+    index = u.astype(np.int64)
+    grid = np.subtract(index, 1.0, out=u)
+    grid /= m  # the grid value below the index
+    index -= points <= grid
+    np.divide(index, m, out=grid)  # the grid value at the index
+    index += points > grid
+    return index
+
+
+def _flat_cells(index: np.ndarray, side: int) -> np.ndarray:
+    """Row indices of an ``(n, d)`` array of cells in a ``side**d`` grid, C order."""
+    if index.shape[1] == 1:
+        return index[:, 0]
+    return np.ravel_multi_index(tuple(index.T), (side,) * index.shape[1])
+
+
 def _empirical_cdf_on_lattice(data: Dataset, karr: np.ndarray, m: int) -> np.ndarray:
-    """Empirical cdf evaluated at every lattice point k/m, as one vector."""
-    pts = data.points
-    if data.d == 1:
-        ordered = np.sort(pts[:, 0])
-        return np.searchsorted(ordered, karr[:, 0] / m, side="right") / data.n
-    grid = karr / m
-    out = np.empty(len(karr))
-    step = max(1, _CDF_CHUNK // max(1, data.n))
-    for start in range(0, len(karr), step):
-        block = grid[start : start + step]
-        inside = np.all(pts[None, :, :] <= block[:, None, :], axis=2)
-        out[start : start + step] = inside.mean(axis=1)
-    return out
+    """Empirical cdf at every lattice point k/m, as one vector.
+
+    Each observation is counted at its upper grid index; the d-fold
+    cumulative sum of those counts on the ``(m+1)^d`` grid is, at ``k``, the
+    number of observations with ``x <= k/m`` in every coordinate.
+    """
+    shape = (m + 1,) * data.d
+    counts = np.bincount(_flat_cells(_upper_grid_index(data.points, m), m + 1), minlength=math.prod(shape))
+    counts = counts.reshape(shape)
+    for axis in range(data.d):
+        np.cumsum(counts, axis=axis, out=counts)
+    return counts[tuple(karr.T)] / data.n
+
+
+def bernstein_cdf_many(
+    data: Dataset, m: int, points: "Iterable[SimplexPoint | float | Sequence[float]]"
+) -> np.ndarray:
+    """:func:`bernstein_cdf` at each of ``points``, as one array.
+
+    The lattice and the empirical cdf on it are built once, in
+    ``O(n + m^d)``; after that each point costs only its ``O(m^d)``
+    multinomial weights.
+    """
+    if m < 1:
+        raise ValidationError(f"order m must be >= 1, got {m}")
+    xs = [SimplexPoint.of(x) for x in points]
+    for x in xs:
+        if x.d != data.d:
+            raise ValidationError(f"point dimension {x.d} does not match data dimension {data.d}")
+    check_lattice_size(m, data.d)
+    karr = lattice_array(m, data.d)
+    values = _empirical_cdf_on_lattice(data, karr, m)
+    return np.array([np.dot(values, np.exp(log_multinomial_pmf(karr, m, x))) for x in xs], dtype=float)
 
 
 def bernstein_cdf(data: Dataset, m: int, x: "SimplexPoint | float | Sequence[float]") -> float:
@@ -149,18 +194,9 @@ def bernstein_cdf(data: Dataset, m: int, x: "SimplexPoint | float | Sequence[flo
     only a sensible estimator when the observations' support is contained
     in a hyperrectangle inside the simplex; with full-support data the
     relevant cdf lives on the unit hypercube instead.  This is a caveat,
-    not an error.
+    not an error.  To evaluate many points, use :func:`bernstein_cdf_many`.
     """
-    if m < 1:
-        raise ValidationError(f"order m must be >= 1, got {m}")
-    x = SimplexPoint.of(x)
-    if x.d != data.d:
-        raise ValidationError(f"point dimension {x.d} does not match data dimension {data.d}")
-    check_lattice_size(m, data.d)
-    karr = lattice_array(m, data.d)
-    weights = np.exp(log_multinomial_pmf(karr, m, x))
-    values = _empirical_cdf_on_lattice(data, karr, m)
-    return float(np.dot(values, weights))
+    return float(bernstein_cdf_many(data, m, [x])[0])
 
 
 @dataclass(frozen=True)
@@ -180,24 +216,22 @@ class HistogramCounts:
         return int(sum(self.counts.values()))
 
 
-def _cube_indices(points: np.ndarray, m: int) -> np.ndarray:
-    idx = np.ceil(m * points).astype(np.int64) - 1
-    np.clip(idx, 0, None, out=idx)
-    return idx
-
-
 def histogram_counts(data: Dataset, m: int) -> HistogramCounts:
-    """Assign each observation to its cube of side 1/m."""
+    """Assign each observation to its cube of side 1/m.
+
+    The cube of ``x`` is one below its upper grid index, so ``x = k/m``
+    falls in the cube ``((k-1)/m, k/m]``, and 0 in the lowest cube.
+    """
     if m < 1:
         raise ValidationError(f"order m must be >= 1, got {m}")
-    idx = _cube_indices(data.points, m)
-    if data.d == 1:
-        flat = np.bincount(idx[:, 0], minlength=m)
-        keys = np.nonzero(flat)[0]
-        counts = {(int(k),): int(flat[k]) for k in keys}
-    else:
-        uniq, cnt = np.unique(idx, axis=0, return_counts=True)
-        counts = {tuple(int(v) for v in row): int(c) for row, c in zip(uniq, cnt)}
+    check_lattice_size(m - 1, data.d)
+    cells = _upper_grid_index(data.points, m)
+    cells -= 1
+    np.maximum(cells, 0, out=cells)
+    flat = np.bincount(_flat_cells(cells, m), minlength=m**data.d)
+    keys = np.flatnonzero(flat)
+    rows = np.column_stack(np.unravel_index(keys, (m,) * data.d)).tolist()
+    counts = dict(zip(map(tuple, rows), flat[keys].tolist()))
     return HistogramCounts(m=m, d=data.d, counts=counts)
 
 

@@ -168,5 +168,6 @@ def write_diagnostics_csv(rows: Sequence[SumDiagnostic], fh: io.TextIOBase) -> N
     writer.writerow(["quantity", "m", "scaled_exact", "prediction", "rel_gap"])
     for row in rows:
         writer.writerow(
-            [row.quantity, row.m, repr(row.scaled_exact), repr(row.prediction), repr(row.rel_gap)]
+            [row.quantity, row.m]
+            + [repr(float(v)) for v in (row.scaled_exact, row.prediction, row.rel_gap)]
         )

@@ -269,7 +269,7 @@ def write_mc_csv(result: McResult, fh: io.TextIOBase) -> None:
     for row in result.rows:
         writer.writerow(
             [row.m, row.n]
-            + [repr(getattr(row, name)) for name in _MC_COLUMNS[2:]]
+            + [repr(float(getattr(row, name))) for name in _MC_COLUMNS[2:]]
         )
 
 

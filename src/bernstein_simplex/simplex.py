@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -99,32 +99,30 @@ def check_lattice_size(m: int, d: int) -> None:
         )
 
 
-def _iter_lattice(m: int, d: int) -> Iterable[LatticeIndex]:
-    if d == 1:
-        for k in range(m + 1):
-            yield (k,)
-    else:
-        for k in range(m + 1):
-            for rest in _iter_lattice(m - k, d - 1):
-                yield (k,) + rest
+def lattice_array(m: int, d: int) -> np.ndarray:
+    """All integer vectors ``k >= 0`` with ``sum(k) <= m``, as an ``(N, d)`` int array.
+
+    Rows are in lexicographic order, fixed so that downstream outputs are
+    reproducible byte-for-byte.  The array grows one trailing coordinate
+    at a time: each row of the shorter lattice is repeated once for every
+    value ``0..m - sum(row)`` the new coordinate can take.
+    """
+    check_lattice_size(m, d)
+    out = np.arange(m + 1, dtype=np.int64)[:, None]
+    for width in range(2, d + 1):
+        room = m + 1 - out.sum(axis=1)
+        grown = np.empty((lattice_size(m, width), width), dtype=np.int64)
+        for j in range(width - 1):
+            grown[:, j] = np.repeat(out[:, j], room)
+        starts = np.cumsum(room) - room
+        np.subtract(np.arange(len(grown)), np.repeat(starts, room), out=grown[:, -1])
+        out = grown
+    return out
 
 
 def lattice_points(m: int, d: int) -> list[LatticeIndex]:
-    """All integer vectors ``k >= 0`` with ``sum(k) <= m``, lexicographically.
-
-    The order is fixed so that downstream outputs are reproducible
-    byte-for-byte.
-    """
-    check_lattice_size(m, d)
-    return list(_iter_lattice(m, d))
-
-
-def lattice_array(m: int, d: int) -> np.ndarray:
-    """Same enumeration as :func:`lattice_points` as an ``(N, d)`` int array."""
-    check_lattice_size(m, d)
-    if d == 1:
-        return np.arange(m + 1, dtype=np.int64)[:, None]
-    return np.array(list(_iter_lattice(m, d)), dtype=np.int64)
+    """The rows of :func:`lattice_array` as tuples, in the same order."""
+    return [tuple(row) for row in lattice_array(m, d).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +133,21 @@ _log_fact_cache = np.zeros(1)
 
 
 def log_factorials(n: int) -> np.ndarray:
-    """Cumulative table ``[log(0!), ..., log(n!)]``, grown lazily and cached."""
+    """Cumulative table ``[log(0!), ..., log(n!)]``, grown lazily and cached.
+
+    Growth builds the new table in a local and swaps it in only if it is
+    longer than the cached one, and the slice is taken from the local, so
+    concurrent callers always get a full prefix even when their growths
+    race.
+    """
     global _log_fact_cache
-    if n >= len(_log_fact_cache):
-        top = max(n, 2 * len(_log_fact_cache))
-        tail = np.log(np.arange(1.0, top + 1.0))
-        _log_fact_cache = np.concatenate([[0.0], np.cumsum(tail)])
-    return _log_fact_cache[: n + 1]
+    table = _log_fact_cache
+    if n >= len(table):
+        top = max(n, 2 * len(table))
+        table = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, top + 1.0)))])
+        if len(table) > len(_log_fact_cache):
+            _log_fact_cache = table
+    return table[: n + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,38 @@ def dir222():
 # independent reference implementations (oracles)
 # ---------------------------------------------------------------------------
 
+def iter_lattice(m: int, d: int):
+    """Integer vectors k >= 0 of length d with sum(k) <= m, lexicographically, by recursion."""
+    if d == 1:
+        for k in range(m + 1):
+            yield (k,)
+    else:
+        for k in range(m + 1):
+            for rest in iter_lattice(m - k, d - 1):
+                yield (k,) + rest
+
+
+def multinomial_pmf_exact(k, m: int, x) -> float:
+    """Multinomial(m, x) probability of k from factorials; the last category gets the rest."""
+    rest_k, rest_x = m - sum(k), 1.0 - sum(x)
+    coef = math.factorial(m) // math.factorial(rest_k)
+    prob = rest_x**rest_k
+    for ki, xi in zip(k, x):
+        coef //= math.factorial(ki)
+        prob *= xi**ki
+    return coef * prob
+
+
+def reference_cdf(data: np.ndarray, m: int, x) -> float:
+    """Direct smoothed-cdf evaluation in any dimension: ``x <= k/m`` comparisons per lattice point."""
+    data = np.asarray(data, dtype=float)
+    total = 0.0
+    for k in iter_lattice(m, data.shape[1]):
+        fn = np.mean(np.all(data <= np.array(k) / m, axis=1))
+        total += fn * multinomial_pmf_exact(k, m, x)
+    return total
+
+
 def binom_pmf_exact(m: int, p: float) -> np.ndarray:
     """Binomial pmf from math.comb, no log-space tricks."""
     return np.array(

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from bernstein_simplex import (
     bessel_i,
     bessel_i0,
     bessel_i1,
+    bessel_i_scaled,
     min_coupling_factor,
     poisson_equal_probability,
     poisson_within_one_probability,
@@ -71,6 +73,51 @@ class TestSeriesValues:
             bessel_i(2, 1.0)
         with pytest.raises(ValidationError):
             bessel_i(0, 1.0, tol=0.0)
+
+
+class TestWholeDomain:
+    """Every argument terminates: subnormal, overflowing and in between."""
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-300])
+    def test_tiny_arguments(self, z):
+        for nu in (0, 1):
+            result = bessel_i(nu, z)
+            assert result.remainder_bound == 0.0
+            assert result.value == pytest.approx(1.0 if nu == 0 else z / 2, rel=1e-15, abs=1e-323)
+
+    @pytest.mark.parametrize("z", [5e-324, 1e-300, 2.0, 40.0, 700.0, 710.0, 1e4])
+    def test_scaled_matches_scipy(self, z):
+        scipy_special = pytest.importorskip("scipy.special")
+        for nu, oracle in ((0, scipy_special.i0e), (1, scipy_special.i1e)):
+            result = bessel_i_scaled(nu, z)
+            want = float(oracle(z))
+            assert result.value == pytest.approx(want, rel=1e-13, abs=1e-323)
+            assert 0.0 <= result.remainder_bound <= 1e-13 * want + 1e-323
+
+    @pytest.mark.parametrize("z", [700.0, 710.0])
+    def test_unscaled_in_asymptotic_range(self, z):
+        scipy_special = pytest.importorskip("scipy.special")
+        for nu, oracle in ((0, scipy_special.i0e), (1, scipy_special.i1e)):
+            want = float(oracle(z)) * math.exp(z / 2) * math.exp(z / 2)
+            assert bessel_i(nu, z).value == pytest.approx(want, rel=1e-13)
+
+    def test_overflow_raises(self):
+        for nu in (0, 1):
+            with pytest.raises(ValidationError, match="overflows"):
+                bessel_i(nu, 1e4)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0])
+    def test_small_lambda_keeps_unscaled_rounding(self, lam):
+        z = 2.0 * lam
+        assert poisson_equal_probability(lam) == math.exp(-z) * bessel_i0(z)
+        assert poisson_within_one_probability(lam) == math.exp(-z) * (bessel_i0(z) + bessel_i1(z))
+
+    def test_large_lambda_factors_are_finite(self):
+        assert 0.0 < poisson_equal_probability(400.0) < 1.0
+        assert 0.0 < poisson_within_one_probability(400.0) < 1.0
+        assert 0.0 < min_coupling_factor(400.0) < 400.0
+        # P{X = Y} ~ (4 pi lam)^(-1/2) for large lam
+        assert poisson_equal_probability(400.0) == pytest.approx((4 * math.pi * 400.0) ** -0.5, rel=1e-3)
 
 
 class TestDerivedFactors:

@@ -64,6 +64,20 @@ class TestEstimate:
             x_text, est_text = line.split(",")
             assert float(est_text) == bernstein_cdf(data, 8, float(x_text))
 
+    def test_density_matches_library(self, data_csv, points_csv, capsys):
+        from bernstein_simplex import Dataset, bernstein_density
+
+        code, out, _ = run_cli(
+            ["estimate", "--data", data_csv, "--m", "10", "--kind", "density",
+             "--points", points_csv],
+            capsys,
+        )
+        assert code == 0
+        data = Dataset.from_csv(data_csv)
+        for line in out.strip().splitlines()[1:]:
+            x_text, est_text = line.split(",")
+            assert float(est_text) == bernstein_density(data, 10, float(x_text))
+
     def test_bad_row_names_row(self, tmp_path, points_csv, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("0.2\n1.4\n")
@@ -191,6 +205,41 @@ class TestVerify:
         _, out1, _ = run_cli(["verify", "--config", str(config)], capsys)
         _, out2, _ = run_cli(["--threads", "4", "verify", "--config", str(config)], capsys)
         assert out1 == out2
+
+
+class TestStrictFloatCells:
+    """Every numeric cell parses with float(), whatever numpy's scalar repr."""
+
+    def test_verify_cdf(self, tmp_path, capsys):
+        config = tmp_path / "exp.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "model": {"name": "dirichlet", "alpha": [1, 2]},
+                    "profile": {"d": 1, "boundary": {"1": 1.0}},
+                    "kind": "cdf",
+                    "m_grid": [20],
+                    "n_grid": [200],
+                    "replicates": 5,
+                    "seed": 3,
+                }
+            )
+        )
+        code, out, _ = run_cli(["verify", "--config", str(config)], capsys)
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 1
+        assert all(isinstance(float(cell), float) for cell in rows[0].split(","))
+
+    def test_sums(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"d": 2, "boundary": {"1": 1.0}, "interior": {"2": 0.3}}))
+        code, out, _ = run_cli(["sums", "--profile", str(profile), "--m-grid", "20,40"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert {row[0] for row in rows} == {"pmf_square_sum", "min_coupling_x1", "min_coupling_x2"}
+        for row in rows:
+            assert all(isinstance(float(cell), float) for cell in row[1:])
 
 
 class TestSums:

@@ -7,6 +7,7 @@ from bernstein_simplex import (
     Dataset,
     ValidationError,
     bernstein_cdf,
+    bernstein_cdf_many,
     bernstein_density,
     density_from_counts,
     empirical_cdf,
@@ -14,7 +15,9 @@ from bernstein_simplex import (
     sample,
 )
 
-from conftest import reference_cdf_1d, reference_density_1d, simplex_integral_2d
+from bernstein_simplex.estimators import _upper_grid_index
+
+from conftest import reference_cdf, reference_cdf_1d, reference_density_1d, simplex_integral_2d
 
 
 class TestDataset:
@@ -113,6 +116,27 @@ class TestBernsteinCdf:
         assert np.all(np.diff(values, axis=1) >= -1e-12)
 
 
+class TestUpperGridIndex:
+    @staticmethod
+    def searchsorted(points, m):
+        return np.searchsorted(np.arange(m + 1) / m, points, side="left")
+
+    def test_every_lattice_value_below_200(self):
+        for m in range(1, 200):
+            values = np.arange(m + 1)[:, None] / m
+            # the lattice values and their float neighbours on both sides
+            points = np.clip(np.hstack([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)]), 0.0, 1.0)
+            np.testing.assert_array_equal(_upper_grid_index(points, m), self.searchsorted(points, m))
+
+    def test_random_and_two_decimal_data(self):
+        rng = np.random.default_rng(12)
+        random = rng.random((5000, 3))
+        decimals = np.round(rng.random((5000, 3)), 2)
+        for m in (1, 7, 25, 50, 100, 137, 1000):
+            for points in (random, decimals):
+                np.testing.assert_array_equal(_upper_grid_index(points, m), self.searchsorted(points, m))
+
+
 class TestHistogram:
     def test_interior_membership(self):
         counts = histogram_counts(Dataset.from_points([[0.30]]), 4).counts
@@ -125,6 +149,12 @@ class TestHistogram:
     def test_two_dimensional_membership(self):
         counts = histogram_counts(Dataset.from_points([[0.4, 0.5]]), 3).counts
         assert counts == {(1, 1): 1}
+
+    def test_lattice_value_lands_in_lower_cube(self):
+        # 7/25 and 0.56 = 28/50 round above 7 and 28 when multiplied by m
+        assert histogram_counts(Dataset.from_points([[7 / 25]]), 25).counts == {(6,): 1}
+        counts = histogram_counts(Dataset.from_points([[0.56, 0.14], [0.28, 0.0]]), 50).counts
+        assert counts == {(13, 0): 1, (27, 6): 1}
 
     def test_zero_coordinate_lands_in_lowest_cube(self):
         counts = histogram_counts(Dataset.from_points([[0.0, 0.4]]), 5).counts
@@ -158,6 +188,14 @@ class TestBernsteinDensity:
             x = rng.dirichlet((1, 1, 1))[:2]
             assert bernstein_density(data, 9, x) >= 0.0
 
+    def test_lattice_valued_data_match_reference(self):
+        # 25 * (7/25) rounds above 7; binning by ceil(m*x) gave 2.434 here
+        raw = np.array([7 / 25, 0.5])
+        data = Dataset.from_points(raw[:, None])
+        value = bernstein_density(data, 25, 0.4)
+        assert value == pytest.approx(reference_density_1d(raw, 25, 0.4), abs=1e-12)
+        assert value == pytest.approx(1.934, abs=5e-4)
+
     def test_counts_reuse_matches_direct(self, beta22):
         data = sample(beta22, 200, seed=6)
         from bernstein_simplex import histogram_counts as hc
@@ -180,6 +218,43 @@ class TestBernsteinDensity:
             lambda x: density_from_counts(counts, data.n, x), cells=40
         )
         assert abs(integral - 1.0) <= 0.05
+
+
+class TestCdfMany:
+    @staticmethod
+    def lattice_valued_data():
+        rng = np.random.default_rng(21)
+        draws = np.round(rng.dirichlet((1, 1, 1), size=60)[:, :2], 2)
+        fixed = [[0.0, 0.0], [0.0, 0.3], [0.14, 0.0], [0.28, 0.56], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]
+        return np.vstack([draws, fixed])
+
+    POINTS = [(0.3, 0.3), (0.0, 0.4), (1 / 14, 0.5), (0.2, 0.8), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+    def test_matches_direct_oracle_d2(self):
+        raw = self.lattice_valued_data()
+        data = Dataset.from_points(raw)
+        for m in (1, 7, 14, 25):
+            values = bernstein_cdf_many(data, m, self.POINTS)
+            expected = [reference_cdf(raw, m, x) for x in self.POINTS]
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-14)
+
+    def test_matches_per_point_evaluation(self):
+        data = Dataset.from_points(self.lattice_valued_data())
+        values = bernstein_cdf_many(data, 14, self.POINTS)
+        assert values.tolist() == [bernstein_cdf(data, 14, x) for x in self.POINTS]
+
+    def test_points_as_rows_of_an_array(self):
+        data = Dataset.from_points(self.lattice_valued_data())
+        rows = np.array(self.POINTS)
+        assert bernstein_cdf_many(data, 9, rows).tolist() == bernstein_cdf_many(data, 9, self.POINTS).tolist()
+        assert bernstein_cdf_many(data, 9, []).shape == (0,)
+
+    def test_rejects_bad_order_and_dimension(self):
+        data = Dataset.from_points(self.lattice_valued_data())
+        with pytest.raises(ValidationError):
+            bernstein_cdf_many(data, 0, self.POINTS)
+        with pytest.raises(ValidationError):
+            bernstein_cdf_many(data, 5, [(0.2, 0.2), (0.3,)])
 
 
 class TestUnivariateCrossCheck:

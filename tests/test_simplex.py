@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from bernstein_simplex import (
     multinomial_pmf,
     pmf_table,
 )
-from bernstein_simplex.simplex import lattice_array, log_multinomial_pmf
+from bernstein_simplex import simplex
+from bernstein_simplex.simplex import lattice_array, log_factorials, log_multinomial_pmf
 
-from conftest import binom_pmf_exact
+from conftest import binom_pmf_exact, iter_lattice
 
 
 class TestSimplexPoint:
@@ -90,6 +94,64 @@ class TestLattice:
     def test_array_matches_tuples(self):
         arr = lattice_array(6, 2)
         assert [tuple(row) for row in arr] == lattice_points(6, 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, 5, 30])
+    def test_array_matches_recursive_enumeration(self, m, d):
+        arr = lattice_array(m, d)
+        assert arr.dtype == np.int64 and arr.shape == (lattice_size(m, d), d)
+        assert arr.tolist() == [list(k) for k in iter_lattice(m, d)]
+
+
+class TestLogFactorials:
+    def test_stale_growth_keeps_the_larger_table(self, monkeypatch):
+        """A grower that read the cache before a larger growth does not shrink it."""
+        stalled, big_done = threading.Event(), threading.Event()
+
+        class StalledNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def concatenate(self, parts):
+                table = np.concatenate(parts)
+                if threading.current_thread().name == "stale":
+                    stalled.set()
+                    big_done.wait(timeout=30)
+                return table
+
+        monkeypatch.setattr(simplex, "_log_fact_cache", np.zeros(1))
+        monkeypatch.setattr(simplex, "np", StalledNumpy())
+        results = {}
+        stale = threading.Thread(target=lambda: results.update(stale=log_factorials(10)), name="stale")
+        stale.start()
+        assert stalled.wait(timeout=30)
+        results["big"] = log_factorials(3000)
+        big_done.set()
+        stale.join(timeout=30)
+        assert not stale.is_alive()
+        assert len(results["stale"]) == 11 and len(results["big"]) == 3001
+        assert len(simplex._log_fact_cache) >= 3001
+
+    def test_concurrent_growth_returns_full_prefixes(self, monkeypatch):
+        """Threads growing the cache by different amounts all get correct tables."""
+        expected = np.array([math.lgamma(k + 1.0) for k in range(4001)])
+        sizes = [int(v) for v in np.random.default_rng(0).integers(1, 4000, size=400)]
+
+        def check(n):
+            table = log_factorials(n)
+            return len(table) == n + 1 and np.allclose(table, expected[: n + 1], rtol=1e-12, atol=1e-12)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(simplex, "_log_fact_cache", np.zeros(1))
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(check, n) for n in sizes]
+                    results = [f.result(timeout=60) for f in futures]
+                assert all(results)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMultinomialPmf:
