@@ -75,13 +75,12 @@ from .montecarlo import (
     sample,
 )
 from .simplex import (
-    LatticeIndex,
-    PmfTable,
     SimplexPoint,
-    lattice_points,
+    lattice_array,
     lattice_size,
+    lattice_window,
+    log_multinomial_pmf,
     multinomial_pmf,
-    pmf_table,
 )
 
 __version__ = "0.1.0"

@@ -13,39 +13,36 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .simplex import (
-    LatticeIndex,
-    SimplexPoint,
-    check_lattice_size,
-    lattice_array,
-    log_multinomial_pmf,
-)
+from .simplex import SimplexPoint, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
 
 
-def _validated_points(arr: np.ndarray, tol: float) -> np.ndarray:
+def _validated_points(arr: np.ndarray, tol: float, lines: Sequence[int] | None = None) -> np.ndarray:
+    """``arr`` checked, clipped and rescaled onto the simplex; errors name a row by index or ``lines[index]``."""
     if arr.ndim != 2:
         raise ValidationError("data must be a 2-d array of shape (n, d)")
     n, d = arr.shape
     if n < 1 or d < 1:
         raise ValidationError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
+    name = int if lines is None else lines.__getitem__
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("data contains non-finite values")
+        row = int(np.argwhere(~np.isfinite(arr))[0, 0])
+        raise ValidationError(f"row {name(row)}: non-finite value")
     if np.any(arr < -tol):
         row = int(np.argwhere(arr < -tol)[0, 0])
-        raise ValidationError(f"row {row}: negative coordinate beyond tolerance")
+        raise ValidationError(f"row {name(row)}: negative coordinate beyond tolerance")
     arr = np.clip(arr, 0.0, None)
     sums = arr.sum(axis=1)
     if np.any(sums > 1.0 + tol):
         row = int(np.argmax(sums > 1.0 + tol))
-        raise ValidationError(f"row {row}: coordinate sum {sums[row]!r} > 1 beyond tolerance")
+        raise ValidationError(f"row {name(row)}: coordinate sum {float(sums[row])!r} > 1 beyond tolerance")
     over = sums > 1.0
     if np.any(over):
         arr = arr.copy()
@@ -82,6 +79,7 @@ class Dataset:
             with open(source, newline="") as fh:
                 return cls.from_csv(fh, d=d)
         rows: list[list[float]] = []
+        lines: list[int] = []
         for lineno, record in enumerate(csv.reader(source), start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue
@@ -95,17 +93,11 @@ class Dataset:
                 raise ValidationError(f"row {lineno}: expected {d} columns, found {len(values)}")
             if rows and len(values) != len(rows[0]):
                 raise ValidationError(f"row {lineno}: ragged row of {len(values)} columns")
-            if any(v < -CSV_TOLERANCE for v in values):
-                raise ValidationError(f"row {lineno}: negative coordinate beyond tolerance")
-            if sum(values) > 1.0 + CSV_TOLERANCE:
-                raise ValidationError(f"row {lineno}: coordinate sum exceeds 1 beyond tolerance")
             rows.append(values)
+            lines.append(lineno)
         if not rows:
             raise ValidationError("no data rows found")
-        arr = np.clip(np.asarray(rows, dtype=float), 0.0, None)
-        sums = arr.sum(axis=1)
-        arr[sums > 1.0] /= sums[sums > 1.0, None]
-        return cls(arr)
+        return cls(_validated_points(np.asarray(rows, dtype=float), CSV_TOLERANCE, lines))
 
     @property
     def n(self) -> int:
@@ -144,26 +136,12 @@ def _upper_grid_index(points: np.ndarray, m: int) -> np.ndarray:
     return index
 
 
-def _flat_cells(index: np.ndarray, side: int) -> np.ndarray:
-    """Row indices of an ``(n, d)`` array of cells in a ``side**d`` grid, C order."""
-    if index.shape[1] == 1:
-        return index[:, 0]
-    return np.ravel_multi_index(tuple(index.T), (side,) * index.shape[1])
-
-
-def _empirical_cdf_on_lattice(data: Dataset, karr: np.ndarray, m: int) -> np.ndarray:
-    """Empirical cdf at every lattice point k/m, as one vector.
-
-    Each observation is counted at its upper grid index; the d-fold
-    cumulative sum of those counts on the ``(m+1)^d`` grid is, at ``k``, the
-    number of observations with ``x <= k/m`` in every coordinate.
-    """
-    shape = (m + 1,) * data.d
-    counts = np.bincount(_flat_cells(_upper_grid_index(data.points, m), m + 1), minlength=math.prod(shape))
-    counts = counts.reshape(shape)
-    for axis in range(data.d):
-        np.cumsum(counts, axis=axis, out=counts)
-    return counts[tuple(karr.T)] / data.n
+def _grid_counts(index: np.ndarray, side: int) -> np.ndarray:
+    """Counts of the rows of an ``(n, d)`` index array on the ``side**d`` grid, shaped as the grid."""
+    shape = (side,) * index.shape[1]
+    check_grid_size(shape)
+    flat = index[:, 0] if len(shape) == 1 else np.ravel_multi_index(tuple(index.T), shape)
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
 def bernstein_cdf_many(
@@ -173,7 +151,10 @@ def bernstein_cdf_many(
 
     The lattice and the empirical cdf on it are built once, in
     ``O(n + m^d)``; after that each point costs only its ``O(m^d)``
-    multinomial weights.
+    multinomial weights.  Each observation is counted at its upper grid
+    index; the d-fold cumulative sum of those counts on the ``(m+1)^d``
+    grid is, at ``k``, the number of observations with ``x <= k/m`` in
+    every coordinate.
     """
     if m < 1:
         raise ValidationError(f"order m must be >= 1, got {m}")
@@ -181,9 +162,11 @@ def bernstein_cdf_many(
     for x in xs:
         if x.d != data.d:
             raise ValidationError(f"point dimension {x.d} does not match data dimension {data.d}")
-    check_lattice_size(m, data.d)
+    below = _grid_counts(_upper_grid_index(data.points, m), m + 1)
+    for axis in range(data.d):
+        np.cumsum(below, axis=axis, out=below)
     karr = lattice_array(m, data.d)
-    values = _empirical_cdf_on_lattice(data, karr, m)
+    values = below[tuple(karr.T)] / data.n
     return np.array([np.dot(values, np.exp(log_multinomial_pmf(karr, m, x))) for x in xs], dtype=float)
 
 
@@ -199,21 +182,25 @@ def bernstein_cdf(data: Dataset, m: int, x: "SimplexPoint | float | Sequence[flo
     return float(bernstein_cdf_many(data, m, [x])[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistogramCounts:
     """Counts of observations per half-open cube ``(k/m, (k+1)/m]``.
 
-    Points with a coordinate exactly 0 sit on a lower cube face, which the
-    half-open convention would leave unassigned; they are counted in the
-    lowest cube of that coordinate so the counts always sum to n.
+    ``cells`` is a ``(K, d)`` int64 array of the occupied cubes' indices
+    ``k``, in lexicographic order, and ``counts`` the ``(K,)`` int64 array
+    of their counts.  Points with a coordinate exactly 0 sit on a lower
+    cube face, which the half-open convention would leave unassigned; they
+    are counted in the lowest cube of that coordinate so the counts always
+    sum to n.
     """
 
     m: int
     d: int
-    counts: Mapping[LatticeIndex, int]
+    cells: np.ndarray
+    counts: np.ndarray
 
     def total(self) -> int:
-        return int(sum(self.counts.values()))
+        return int(self.counts.sum())
 
 
 def histogram_counts(data: Dataset, m: int) -> HistogramCounts:
@@ -224,15 +211,13 @@ def histogram_counts(data: Dataset, m: int) -> HistogramCounts:
     """
     if m < 1:
         raise ValidationError(f"order m must be >= 1, got {m}")
-    check_lattice_size(m - 1, data.d)
     cells = _upper_grid_index(data.points, m)
     cells -= 1
     np.maximum(cells, 0, out=cells)
-    flat = np.bincount(_flat_cells(cells, m), minlength=m**data.d)
+    flat = _grid_counts(cells, m).ravel()
     keys = np.flatnonzero(flat)
-    rows = np.column_stack(np.unravel_index(keys, (m,) * data.d)).tolist()
-    counts = dict(zip(map(tuple, rows), flat[keys].tolist()))
-    return HistogramCounts(m=m, d=data.d, counts=counts)
+    cells = np.column_stack(np.unravel_index(keys, (m,) * data.d))
+    return HistogramCounts(m=m, d=data.d, cells=cells, counts=flat[keys])
 
 
 def bernstein_density(data: Dataset, m: int, x: "SimplexPoint | float | Sequence[float]") -> float:
@@ -253,9 +238,5 @@ def density_from_counts(
     if x.d != counts.d:
         raise ValidationError(f"point dimension {x.d} does not match histogram dimension {counts.d}")
     check_lattice_size(counts.m - 1, counts.d)
-    if not counts.counts:
-        return 0.0
-    karr = np.array(list(counts.counts.keys()), dtype=np.int64)
-    weights = np.array(list(counts.counts.values()), dtype=float)
-    logp = log_multinomial_pmf(karr, counts.m - 1, x)
-    return float(counts.m ** counts.d * np.dot(weights / n, np.exp(logp)))
+    logp = log_multinomial_pmf(counts.cells, counts.m - 1, x)
+    return float(counts.m ** counts.d * np.dot(counts.counts / n, np.exp(logp)))

@@ -20,7 +20,7 @@ import numpy as np
 from .asymptotics import BoundaryProfile, psi
 from .bessel import poisson_equal_probability, poisson_within_one_probability
 from .errors import ValidationError
-from .simplex import SimplexPoint, check_lattice_size, lattice_array, log_multinomial_pmf
+from .simplex import SimplexPoint, lattice_array, log_multinomial_pmf
 
 
 def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: int) -> float:
@@ -30,7 +30,6 @@ def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: in
     if m < 1:
         raise ValidationError(f"order m must be >= 1, got {m}")
     x = SimplexPoint.of(x)
-    check_lattice_size(m - 1, x.d)
     karr = lattice_array(m - 1, x.d)
     logp = log_multinomial_pmf(karr, m - 1, x)
     return float(np.exp(power * logp).sum())
@@ -44,25 +43,23 @@ def pmf_square_sum_limit(profile: BoundaryProfile) -> float:
     return factor
 
 
+def _power_sum_scale(m: int, profile: BoundaryProfile, power: int) -> float:
+    """``m^((d-|J|)/2)`` for the square sum, ``m^(d-|J|)`` for the cube sum."""
+    return m ** ((profile.d - profile.j_size) * (0.5 if power == 2 else 1.0))
+
+
 def pmf_power_sum_scaled(m: int, profile: BoundaryProfile, power: int) -> float:
     """Exact power sum at the realized point, scaled by its limiting m-power.
 
     The square sum is scaled by ``m^((d-|J|)/2)``; the cube sum by
     ``m^(d-|J|)``, under which it stays bounded.
     """
-    exact = sum_pmf_power(m, profile.realized_point(m), power)
-    exponent = (profile.d - profile.j_size) * (0.5 if power == 2 else 1.0)
-    return m**exponent * exact
+    return _power_sum_scale(m, profile, power) * sum_pmf_power(m, profile.realized_point(m), power)
 
 
 # ---------------------------------------------------------------------------
 # min-coupling sums (univariate reduction)
 # ---------------------------------------------------------------------------
-
-def _binomial_pmf(m: int, p: float) -> np.ndarray:
-    karr = lattice_array(m, 1)
-    return np.exp(log_multinomial_pmf(karr, m, SimplexPoint.of([p])))
-
 
 def min_coupling_sum(m: int, x_p: float) -> float:
     """``E[min(K, L)/m] - x_p`` for K, L independent Binomial(m, x_p).
@@ -76,11 +73,27 @@ def min_coupling_sum(m: int, x_p: float) -> float:
         raise ValidationError(f"order m must be >= 1, got {m}")
     if not 0.0 < x_p < 1.0:
         raise ValidationError(f"x_p must lie strictly in (0, 1), got {x_p}")
-    pmf = _binomial_pmf(m, x_p)
+    pmf = np.exp(log_multinomial_pmf(lattice_array(m, 1), m, SimplexPoint.of([x_p])))
     # survival[t] = P(K >= t); reversed cumsum avoids cancellation in the tail
     survival = np.cumsum(pmf[::-1])[::-1]
     e_min = float(np.sum(survival[1:] ** 2))
     return e_min / m - x_p
+
+
+def _min_coupling_constant(profile: BoundaryProfile, p: int) -> float:
+    """Limit of the min-coupling sum of coordinate ``p`` times its m-scale (see :func:`min_coupling_limit`)."""
+    if not 1 <= p <= profile.d:
+        raise ValidationError(f"coordinate index {p} out of range 1..{profile.d}")
+    if p in profile.j_set:
+        lam = profile.boundary[p]
+        return -lam * poisson_within_one_probability(lam)
+    x_p = profile.interior[p]
+    return -math.sqrt(x_p * (1.0 - x_p) / math.pi)
+
+
+def _min_coupling_scale(m: float, profile: BoundaryProfile, p: int) -> float:
+    """``m`` for a scaling coordinate ``p``, ``sqrt(m)`` for a fixed one."""
+    return m if p in profile.j_set else math.sqrt(m)
 
 
 def min_coupling_limit(m: float, profile: BoundaryProfile, p: int) -> float:
@@ -90,13 +103,7 @@ def min_coupling_limit(m: float, profile: BoundaryProfile, p: int) -> float:
     Poisson factors at ``lam``; fixed coordinates give the normal-range
     term ``-m^-1/2 sqrt(x(1-x)/pi)``.
     """
-    if not 1 <= p <= profile.d:
-        raise ValidationError(f"coordinate index {p} out of range 1..{profile.d}")
-    if p in profile.j_set:
-        lam = profile.boundary[p]
-        return -lam * poisson_within_one_probability(lam) / m
-    x_p = profile.interior[p]
-    return -math.sqrt(x_p * (1.0 - x_p) / math.pi) / math.sqrt(m)
+    return _min_coupling_constant(profile, p) / _min_coupling_scale(m, profile, p)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +137,7 @@ def pmf_square_diagnostics(
     rows = []
     for m in m_grid:
         exact = sum_pmf_power(m, profile.realized_point(m), 2)
-        scaled = m ** (0.5 * (profile.d - profile.j_size)) * exact
+        scaled = _power_sum_scale(m, profile, 2) * exact
         rows.append(_diagnostic("pmf_square_sum", int(m), exact, scaled, pred))
     return rows
 
@@ -139,16 +146,8 @@ def min_coupling_diagnostics(
     profile: BoundaryProfile, p: int, m_grid: Sequence[int]
 ) -> list[SumDiagnostic]:
     """Scaled min-coupling sums for coordinate ``p`` against their limits."""
-    if not 1 <= p <= profile.d:
-        raise ValidationError(f"coordinate index {p} out of range 1..{profile.d}")
+    pred = _min_coupling_constant(profile, p)
     rows = []
-    boundary = p in profile.j_set
-    if boundary:
-        lam = profile.boundary[p]
-        pred = -lam * poisson_within_one_probability(lam)
-    else:
-        x_p = profile.interior[p]
-        pred = -math.sqrt(x_p * (1.0 - x_p) / math.pi)
     for m in m_grid:
         x_real = profile.realized_point(m)[p - 1]
         if not 0.0 < x_real < 1.0:
@@ -157,7 +156,7 @@ def min_coupling_diagnostics(
                 "needs a value strictly inside (0, 1)"
             )
         exact = min_coupling_sum(int(m), x_real)
-        scaled = (m if boundary else math.sqrt(m)) * exact
+        scaled = _min_coupling_scale(m, profile, p) * exact
         rows.append(_diagnostic(f"min_coupling_x{p}", int(m), exact, scaled, pred))
     return rows
 

@@ -8,10 +8,9 @@ the hundreds (needed for asymptotic checks) do not underflow.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,10 +19,8 @@ from .errors import SizeLimitError, ValidationError
 #: Tolerance used when validating simplex membership of a single point.
 COORD_TOLERANCE = 1e-12
 
-#: Refuse to enumerate lattices with more points than this.
+#: Refuse to enumerate lattices, or build dense grids, with more points or cells than this.
 MAX_LATTICE_SIZE = 10**8
-
-LatticeIndex = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,15 @@ def check_lattice_size(m: int, d: int) -> None:
         )
 
 
+def check_grid_size(shape: Sequence[int]) -> None:
+    """Refuse a dense grid of ``shape`` with more cells than the lattice cap."""
+    cells = math.prod(shape)
+    if cells > MAX_LATTICE_SIZE:
+        raise SizeLimitError(
+            f"grid of shape {tuple(shape)} has {cells} cells, exceeding the cap of {MAX_LATTICE_SIZE}"
+        )
+
+
 def lattice_array(m: int, d: int) -> np.ndarray:
     """All integer vectors ``k >= 0`` with ``sum(k) <= m``, as an ``(N, d)`` int array.
 
@@ -118,11 +124,6 @@ def lattice_array(m: int, d: int) -> np.ndarray:
         np.subtract(np.arange(len(grown)), np.repeat(starts, room), out=grown[:, -1])
         out = grown
     return out
-
-
-def lattice_points(m: int, d: int) -> list[LatticeIndex]:
-    """The rows of :func:`lattice_array` as tuples, in the same order."""
-    return [tuple(row) for row in lattice_array(m, d).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -195,75 +196,32 @@ def multinomial_pmf(k: Sequence[int], m: int, x: "SimplexPoint | Sequence[float]
     return float(np.exp(log_multinomial_pmf(karr, m, x)[0]))
 
 
-@dataclass(frozen=True)
-class PmfTable:
-    """Multinomial pmf over the lattice, optionally tail-truncated.
-
-    ``truncation_mass`` is the exact probability dropped by truncation
-    (zero for a full table); the retained entries therefore sum to
-    ``1 - truncation_mass``.
-    """
-
-    m: int
-    x: SimplexPoint
-    entries: Mapping[LatticeIndex, float]
-    truncated: bool
-    truncation_mass: float
-
-    def total(self) -> float:
-        return float(sum(self.entries.values()))
-
-    def marginal(self, p: int) -> np.ndarray:
-        """Marginal pmf of coordinate ``p`` (0-based), a Binomial(m, x_p)."""
-        out = np.zeros(self.m + 1)
-        for k, prob in self.entries.items():
-            out[k[p]] += prob
-        return out
-
-
 def _truncation_halfwidth(m: int, d: int, tol: float) -> float:
     # Hoeffding: P(|k_i - m x_i| >= t) <= 2 exp(-2 t^2 / m); a union bound
     # over the d coordinates keeps the dropped mass below tol.
     return math.sqrt(0.5 * m * math.log(2.0 * d / tol))
 
 
-def pmf_table(
-    m: int,
-    x: "SimplexPoint | float | Sequence[float]",
-    truncate: float | None = None,
-) -> PmfTable:
-    """Tabulate Multinomial(m, x) over the lattice.
+def lattice_window(m: int, x: "SimplexPoint | float | Sequence[float]", tol: float) -> np.ndarray:
+    """The lattice rows near ``m * x`` that carry all but ``tol`` of Multinomial(m, x).
 
-    With ``truncate`` set, only indices within a per-coordinate window
-    around ``m * x`` are kept; the window is wide enough that the dropped
-    probability is below ``truncate``.
+    Each coordinate keeps the indices within a Hoeffding half-width of
+    ``m * x_i``; the rows of that box with ``sum(k) <= m`` are returned as
+    an ``(N, d)`` int64 array, in the lexicographic order of
+    :func:`lattice_array`.  The mass dropped is
+    ``1 - exp(log_multinomial_pmf(rows, m, x)).sum()``, below ``tol``.
     """
     x = SimplexPoint.of(x)
-    d = x.d
-    if truncate is None:
-        check_lattice_size(m, d)
-        karr = lattice_array(m, d)
-    else:
-        if not 0.0 < truncate < 1.0:
-            raise ValidationError(f"truncation tolerance must be in (0, 1), got {truncate}")
-        w = _truncation_halfwidth(m, d, truncate)
-        ranges = []
-        for xi in x.coords:
-            lo = max(0, math.ceil(m * xi - w))
-            hi = min(m, math.floor(m * xi + w))
-            ranges.append(range(lo, hi + 1))
-        kept = [k for k in itertools.product(*ranges) if sum(k) <= m]
-        if not kept:
-            raise ValidationError("truncation window is empty; loosen the tolerance")
-        karr = np.array(kept, dtype=np.int64)
-    probs = np.exp(log_multinomial_pmf(karr, m, x))
-    entries = {tuple(int(v) for v in row): float(p) for row, p in zip(karr, probs)}
-    mass = float(probs.sum())
-    truncated = truncate is not None
-    return PmfTable(
-        m=m,
-        x=x,
-        entries=entries,
-        truncated=truncated,
-        truncation_mass=max(0.0, 1.0 - mass) if truncated else 0.0,
-    )
+    if m < 0:
+        raise ValidationError(f"need m >= 0, got m={m}")
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"truncation tolerance must be in (0, 1), got {tol}")
+    w = _truncation_halfwidth(m, x.d, tol)
+    lo = [max(0, math.ceil(m * xi - w)) for xi in x.coords]
+    shape = [min(m, math.floor(m * xi + w)) + 1 - low for xi, low in zip(x.coords, lo)]
+    check_grid_size(shape)
+    box = np.indices(shape, dtype=np.int64).reshape(x.d, -1).T + lo
+    rows = box[box.sum(axis=1) <= m]
+    if len(rows) == 0:
+        raise ValidationError("truncation window is empty; loosen the tolerance")
+    return rows

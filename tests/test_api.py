@@ -1,0 +1,51 @@
+"""The package's public surface, pinned name by name.
+
+Adding or retiring a public name must show up as a change to this file;
+the README lists retired names and their replacements.
+"""
+
+import bernstein_simplex
+
+SUBMODULES = {
+    "asymptotics", "bessel", "errors", "estimators", "lattice_sums", "models", "moments", "montecarlo", "simplex",
+}
+
+PUBLIC = {
+    # asymptotics
+    "BiasExpansion", "BoundaryProfile", "ExpansionReport", "VarianceExpansion", "cdf_bias_boundary", "cdf_mse",
+    "cdf_variance_boundary", "density_bias_boundary", "density_bias_terms", "density_m_opt",
+    "density_m_opt_shoulder", "density_mse", "density_mse_shoulder", "density_variance_leading", "psi",
+    "shoulder_bracket",
+    # bessel
+    "BesselValue", "bessel_i", "bessel_i0", "bessel_i1", "bessel_i_scaled", "min_coupling_factor",
+    "poisson_equal_probability", "poisson_within_one_probability",
+    # errors
+    "SizeLimitError", "ValidationError",
+    # estimators
+    "Dataset", "HistogramCounts", "bernstein_cdf", "bernstein_cdf_many", "bernstein_density",
+    "density_from_counts", "empirical_cdf", "histogram_counts",
+    # lattice_sums
+    "SumDiagnostic", "min_coupling_diagnostics", "min_coupling_limit", "min_coupling_sum",
+    "pmf_power_sum_scaled", "pmf_square_diagnostics", "pmf_square_sum_limit", "sum_pmf_power",
+    # models
+    "DensityModel", "derivative_check", "dirichlet_model", "uniform_model",
+    # moments
+    "MomentQuery", "central_moment_analytic", "central_moment_bruteforce", "fourth_moment_scaling",
+    # montecarlo
+    "Experiment", "McResult", "McRow", "RateFit", "band_summary", "mc_bias_variance", "rate_fit",
+    "run_experiment", "sample",
+    # simplex
+    "SimplexPoint", "lattice_array", "lattice_size", "lattice_window", "log_multinomial_pmf", "multinomial_pmf",
+}
+
+RETIRED = {"LatticeIndex", "PmfTable", "lattice_points", "pmf_table"}
+
+
+def test_public_names_are_pinned():
+    assert set(bernstein_simplex.__all__) == PUBLIC | SUBMODULES
+
+
+def test_retired_names_are_gone():
+    for name in RETIRED:
+        assert not hasattr(bernstein_simplex, name)
+        assert not hasattr(bernstein_simplex.simplex, name)

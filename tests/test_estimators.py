@@ -5,6 +5,7 @@ import pytest
 
 from bernstein_simplex import (
     Dataset,
+    SizeLimitError,
     ValidationError,
     bernstein_cdf,
     bernstein_cdf_many,
@@ -15,6 +16,8 @@ from bernstein_simplex import (
     sample,
 )
 
+from bernstein_simplex import simplex
+from bernstein_simplex.cli import main
 from bernstein_simplex.estimators import _upper_grid_index
 
 from conftest import reference_cdf, reference_cdf_1d, reference_density_1d, simplex_integral_2d
@@ -48,6 +51,10 @@ class TestCsvIngestion:
         with pytest.raises(ValidationError, match="row 2"):
             Dataset.from_csv(io.StringIO(text))
 
+    def test_sum_message_prints_a_plain_float(self):
+        with pytest.raises(ValidationError, match=r"row 2: coordinate sum 1\.2 > 1"):
+            Dataset.from_csv(io.StringIO("0.1,0.2\n0.9,0.3\n"))
+
     def test_non_numeric_mid_file(self):
         with pytest.raises(ValidationError, match="row 3"):
             Dataset.from_csv(io.StringIO("0.1\n0.2\noops\n"))
@@ -59,6 +66,17 @@ class TestCsvIngestion:
     def test_tolerance_clamp(self):
         data = Dataset.from_csv(io.StringIO("0.5,0.5000000001\n"))
         assert data.points.sum() <= 1.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_row_named(self, value):
+        with pytest.raises(ValidationError, match="row 2"):
+            Dataset.from_csv(io.StringIO(f"0.1,0.2\n{value},0.3\n"))
+
+    def test_rows_named_by_line_past_header_and_blank_lines(self):
+        with pytest.raises(ValidationError, match="row 4"):
+            Dataset.from_csv(io.StringIO("a,b\n0.1,0.2\n\n0.2,nan\n"))
+        with pytest.raises(ValidationError, match="row 5"):
+            Dataset.from_csv(io.StringIO("a,b\n0.1,0.2\n\n0.2,0.3\n-0.5,0.3\n"))
 
     def test_dimension_mismatch_flagged(self):
         with pytest.raises(ValidationError, match="row 1"):
@@ -137,28 +155,28 @@ class TestUpperGridIndex:
                 np.testing.assert_array_equal(_upper_grid_index(points, m), self.searchsorted(points, m))
 
 
+def cube_counts(rows, m):
+    hist = histogram_counts(Dataset.from_points(rows), m)
+    return dict(zip(map(tuple, hist.cells.tolist()), hist.counts.tolist()))
+
+
 class TestHistogram:
     def test_interior_membership(self):
-        counts = histogram_counts(Dataset.from_points([[0.30]]), 4).counts
-        assert counts == {(1,): 1}
+        assert cube_counts([[0.30]], 4) == {(1,): 1}
 
     def test_half_open_right_endpoint(self):
-        counts = histogram_counts(Dataset.from_points([[0.25]]), 4).counts
-        assert counts == {(0,): 1}
+        assert cube_counts([[0.25]], 4) == {(0,): 1}
 
     def test_two_dimensional_membership(self):
-        counts = histogram_counts(Dataset.from_points([[0.4, 0.5]]), 3).counts
-        assert counts == {(1, 1): 1}
+        assert cube_counts([[0.4, 0.5]], 3) == {(1, 1): 1}
 
     def test_lattice_value_lands_in_lower_cube(self):
         # 7/25 and 0.56 = 28/50 round above 7 and 28 when multiplied by m
-        assert histogram_counts(Dataset.from_points([[7 / 25]]), 25).counts == {(6,): 1}
-        counts = histogram_counts(Dataset.from_points([[0.56, 0.14], [0.28, 0.0]]), 50).counts
-        assert counts == {(13, 0): 1, (27, 6): 1}
+        assert cube_counts([[7 / 25]], 25) == {(6,): 1}
+        assert cube_counts([[0.56, 0.14], [0.28, 0.0]], 50) == {(13, 0): 1, (27, 6): 1}
 
     def test_zero_coordinate_lands_in_lowest_cube(self):
-        counts = histogram_counts(Dataset.from_points([[0.0, 0.4]]), 5).counts
-        assert counts == {(0, 1): 1}
+        assert cube_counts([[0.0, 0.4]], 5) == {(0, 1): 1}
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_counts_conserved(self, d):
@@ -167,7 +185,44 @@ class TestHistogram:
         for m in (1, 2, 7, 20):
             hist = histogram_counts(data, m)
             assert hist.total() == data.n
-            assert all(sum(k) <= m - 1 for k in hist.counts)
+            assert hist.cells.dtype == np.int64 and hist.counts.dtype == np.int64
+            assert hist.cells.shape == (len(hist.counts), d)
+            assert np.all(hist.counts > 0)
+            assert np.all(hist.cells.sum(axis=1) <= m - 1)
+            cells = [tuple(k) for k in hist.cells.tolist()]
+            assert cells == sorted(set(cells))
+
+
+class TestGridCap:
+    """Dense count grids are checked on their own cell count, not the lattice's."""
+
+    DATA = [[0.1, 0.2, 0.3], [0.5, 0.1, 0.2]]
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_LATTICE_SIZE", 1000)
+
+    def test_histogram_grid(self):
+        data = Dataset.from_points(self.DATA)
+        assert simplex.lattice_size(11, 3) == 364  # the order m - 1 lattice fits
+        with pytest.raises(SizeLimitError):
+            histogram_counts(data, 12)  # 12**3 = 1728 cells
+        assert histogram_counts(data, 10).total() == 2  # 10**3 = 1000 cells
+
+    def test_cdf_grid(self):
+        data = Dataset.from_points(self.DATA)
+        assert simplex.lattice_size(12, 3) == 455  # the order m lattice fits
+        with pytest.raises(SizeLimitError):
+            bernstein_cdf_many(data, 12, [(0.2, 0.2, 0.2)])  # 13**3 = 2197 cells
+        assert bernstein_cdf_many(data, 9, [(1.0, 0.0, 0.0)]).shape == (1,)  # 10**3 cells
+
+    @pytest.mark.parametrize("kind", ["density", "cdf"])
+    def test_cli_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "d3.csv"
+        path.write_text("\n".join(",".join(map(str, row)) for row in self.DATA) + "\n")
+        code = main(["estimate", "--data", str(path), "--m", "12", "--kind", kind, "--points", str(path)])
+        assert code == 2
+        assert "exceeding" in capsys.readouterr().err
 
 
 class TestBernsteinDensity:

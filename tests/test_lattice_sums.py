@@ -166,6 +166,18 @@ class TestDiagnostics:
         rows = min_coupling_diagnostics(prof, 1, (64,))
         assert rows[0].scaled_exact == pytest.approx(8 * rows[0].exact, rel=1e-14)
 
+    @pytest.mark.parametrize("name,p", [("d2-mixed", 2), ("d2-mixed", 1), ("d1-boundary", 1), ("d1-interior", 1)])
+    def test_min_coupling_prediction_is_the_limit_times_its_scale(self, name, p):
+        prof = PROFILES[name]
+        for row in min_coupling_diagnostics(prof, p, (50, 64, 200)):
+            scale = row.m if p in prof.j_set else math.sqrt(row.m)
+            assert row.prediction / scale == min_coupling_limit(row.m, prof, p)
+
+    def test_square_sum_rows_match_scaled_sum(self):
+        for name, prof in PROFILES.items():
+            for row in pmf_square_diagnostics(prof, (20, 45)):
+                assert row.scaled_exact == pmf_power_sum_scaled(row.m, prof, 2)
+
     def test_csv_round_trip(self):
         rows = pmf_square_diagnostics(PROFILES["d1-boundary"], (50, 100))
         buffer = io.StringIO()

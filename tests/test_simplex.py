@@ -12,13 +12,14 @@ from bernstein_simplex import (
     SimplexPoint,
     SizeLimitError,
     ValidationError,
-    lattice_points,
+    lattice_array,
     lattice_size,
+    lattice_window,
+    log_multinomial_pmf,
     multinomial_pmf,
-    pmf_table,
 )
 from bernstein_simplex import simplex
-from bernstein_simplex.simplex import lattice_array, log_factorials, log_multinomial_pmf
+from bernstein_simplex.simplex import log_factorials
 
 from conftest import binom_pmf_exact, iter_lattice
 
@@ -60,10 +61,10 @@ class TestSimplexPoint:
 class TestLattice:
     @pytest.mark.parametrize("m,d,count", [(3, 2, 10), (0, 3, 1), (4, 3, 35)])
     def test_counts(self, m, d, count):
-        assert len(lattice_points(m, d)) == count
+        assert len(lattice_array(m, d)) == count
 
     def test_zero_order_single_point(self):
-        assert lattice_points(0, 3) == [(0, 0, 0)]
+        assert lattice_array(0, 3).tolist() == [[0, 0, 0]]
 
     def test_d3_count_against_triple_loop(self):
         brute = sum(
@@ -73,27 +74,23 @@ class TestLattice:
             for c in range(5 - a - b)
             if a + b + c <= 4
         )
-        assert len(lattice_points(4, 3)) == brute == 35
+        assert len(lattice_array(4, 3)) == brute == 35
 
     def test_count_formula_sweep(self):
         for d in range(1, 5):
             for m in range(0, 21):
-                pts = lattice_points(m, d)
+                pts = lattice_array(m, d)
                 assert len(pts) == math.comb(m + d, d) == lattice_size(m, d)
 
     def test_lexicographic_and_distinct(self):
-        pts = lattice_points(5, 3)
+        pts = [tuple(k) for k in lattice_array(5, 3).tolist()]
         assert pts == sorted(pts)
         assert len(set(pts)) == len(pts)
         assert all(sum(k) <= 5 for k in pts)
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
-            lattice_points(10**5, 2)
-
-    def test_array_matches_tuples(self):
-        arr = lattice_array(6, 2)
-        assert [tuple(row) for row in arr] == lattice_points(6, 2)
+            lattice_array(10**5, 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [0, 1, 5, 30])
@@ -189,41 +186,63 @@ class TestMultinomialPmf:
         assert np.isfinite(value) and value > 0.0
 
 
+def pmf_over(karr, m, x):
+    return np.exp(log_multinomial_pmf(karr, m, SimplexPoint.of(x)))
+
+
+def check_window(m, x, tol):
+    """``lattice_window`` against the in-window rows of the full lattice and their pmf."""
+    full = lattice_array(m, len(x))
+    # Hoeffding half-width with a union bound over the d coordinates
+    w = math.sqrt(0.5 * m * math.log(2.0 * len(x) / tol))
+    mx = m * np.asarray(x)
+    keep = np.all((full >= mx - w) & (full <= mx + w), axis=1)
+    rows = lattice_window(m, x, tol)
+    assert rows.dtype == np.int64 and 0 < len(rows) < len(full)
+    np.testing.assert_array_equal(rows, full[keep])
+    full_probs = pmf_over(full, m, x)
+    probs = pmf_over(rows, m, x)
+    assert probs.tolist() == full_probs[keep].tolist()
+    dropped = 1.0 - probs.sum()
+    assert dropped <= tol
+    assert dropped == pytest.approx(full_probs[~keep].sum(), abs=1e-12)
+
+
 class TestPmfTable:
     def test_symmetric_binomial(self):
-        table = pmf_table(2, 0.5)
-        assert table.entries[(0,)] == pytest.approx(0.25, abs=1e-15)
-        assert table.entries[(1,)] == pytest.approx(0.5, abs=1e-15)
-        assert table.entries[(2,)] == pytest.approx(0.25, abs=1e-15)
-        assert not table.truncated
+        np.testing.assert_allclose(pmf_over(lattice_array(2, 1), 2, 0.5), [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("m,x", [(7, (0.2, 0.4)), (15, (0.1, 0.05, 0.6))])
     def test_full_table_normalized(self, m, x):
-        assert pmf_table(m, x).total() == pytest.approx(1.0, abs=1e-10)
+        assert pmf_over(lattice_array(m, len(x)), m, x).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_marginals_are_binomial(self):
         rng = np.random.default_rng(3)
         for d in (2, 3):
             x = rng.dirichlet(np.ones(d + 1))[:d]
-            table = pmf_table(12, x)
+            karr = lattice_array(12, d)
+            probs = pmf_over(karr, 12, x)
             for p in range(d):
-                expected = binom_pmf_exact(12, x[p])
-                np.testing.assert_allclose(table.marginal(p), expected, atol=1e-10)
+                marginal = np.bincount(karr[:, p], weights=probs, minlength=13)
+                np.testing.assert_allclose(marginal, binom_pmf_exact(12, x[p]), atol=1e-10)
 
     def test_truncation_keeps_requested_mass(self):
-        full = pmf_table(50, (0.3, 0.3))
-        trunc = pmf_table(50, (0.3, 0.3), truncate=1e-8)
-        assert trunc.truncated
-        assert trunc.total() >= 1.0 - 1e-8
-        assert trunc.truncation_mass <= 1e-8
-        assert len(trunc.entries) < len(full.entries)
-        for k, prob in trunc.entries.items():
-            assert prob == full.entries[k]
+        check_window(50, (0.3, 0.3), 1e-8)
 
     def test_truncated_sum_invariant(self):
-        trunc = pmf_table(80, (0.2, 0.5), truncate=1e-6)
-        assert trunc.total() >= 1.0 - trunc.truncation_mass - 1e-15
+        check_window(80, (0.2, 0.5), 1e-6)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValidationError):
-            pmf_table(10, 0.5, truncate=2.0)
+            lattice_window(10, 0.5, 2.0)
+
+
+class TestLatticeWindow:
+    @pytest.mark.parametrize("m,x,tol", [(120, (0.05, 0.4, 0.3), 1e-4), (200, (0.0,), 1e-3), (60, (0.5, 0.5), 1e-2)])
+    def test_rows_mass_and_probabilities(self, m, x, tol):
+        check_window(m, x, tol)
+
+    @pytest.mark.parametrize("m,tol", [(10, 0.0), (10, 1.0), (10, -1e-3), (-1, 0.1)])
+    def test_bad_order_or_tolerance(self, m, tol):
+        with pytest.raises(ValidationError):
+            lattice_window(m, 0.5, tol)
