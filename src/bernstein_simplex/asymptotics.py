@@ -40,26 +40,29 @@ class BoundaryProfile:
     interior: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for key in ("d", "boundary", "interior"):
+            value = getattr(self, key)
+            try:
+                converted = int(value) if key == "d" else {int(i): float(v) for i, v in dict(value).items()}
+            except (TypeError, ValueError):
+                raise ValidationError(f"profile field {key!r} is malformed: {value!r}") from None
+            object.__setattr__(self, key, converted)
         if self.d < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.d}")
-        boundary = {int(i): float(v) for i, v in dict(self.boundary).items()}
-        interior = {int(i): float(v) for i, v in dict(self.interior).items()}
-        keys = sorted(boundary) + sorted(interior)
+        keys = sorted(self.boundary) + sorted(self.interior)
         if sorted(keys) != list(range(1, self.d + 1)):
             raise ValidationError(
-                f"boundary {sorted(boundary)} and interior {sorted(interior)} "
+                f"boundary {sorted(self.boundary)} and interior {sorted(self.interior)} "
                 f"must partition 1..{self.d}"
             )
-        for i, lam in boundary.items():
+        for i, lam in self.boundary.items():
             if not math.isfinite(lam) or lam < 0:
                 raise ValidationError(f"lambda_{i} must be finite and >= 0, got {lam}")
-        for i, xi in interior.items():
+        for i, xi in self.interior.items():
             if not 0.0 < xi < 1.0:
                 raise ValidationError(f"x_{i} must lie strictly in (0, 1), got {xi}")
-        if sum(interior.values()) >= 1.0:
+        if sum(self.interior.values()) >= 1.0:
             raise ValidationError("fixed interior coordinates must sum to less than 1")
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "interior", interior)
 
     @classmethod
     def interior_point(cls, x: "SimplexPoint | float | Sequence[float]") -> "BoundaryProfile":
@@ -69,11 +72,10 @@ class BoundaryProfile:
 
     @classmethod
     def from_dict(cls, spec: Mapping[str, object]) -> "BoundaryProfile":
-        return cls(
-            d=int(spec["d"]),
-            boundary={int(k): float(v) for k, v in dict(spec.get("boundary", {})).items()},
-            interior={int(k): float(v) for k, v in dict(spec.get("interior", {})).items()},
-        )
+        """The profile a JSON object describes; a missing or malformed field raises, naming it."""
+        if not isinstance(spec, Mapping) or "d" not in spec:
+            raise ValidationError(f"profile must be a JSON object with a field 'd', got {spec!r}")
+        return cls(d=spec["d"], boundary=spec.get("boundary", {}), interior=spec.get("interior", {}))
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -100,6 +102,11 @@ class BoundaryProfile:
     def has_zero_lambda(self) -> bool:
         return any(v == 0.0 for v in self.boundary.values())
 
+    @property
+    def off_j(self) -> np.ndarray:
+        """Boolean mask of the fixed coordinates (those outside J), 0-based."""
+        return np.array([i in self.interior for i in range(1, self.d + 1)])
+
     def lambda_vector(self) -> np.ndarray:
         """Scale parameters as a length-d vector, zero off J."""
         lam = np.zeros(self.d)
@@ -116,11 +123,8 @@ class BoundaryProfile:
 
     def realized_point(self, m: float) -> np.ndarray:
         """The evaluation point at bandwidth m: lambda_i / m on J, fixed elsewhere."""
-        if m <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {m}")
-        x = self.slice_point()
-        for i, lam in self.boundary.items():
-            x[i - 1] = lam / m
+        _check_mn(m, 1.0)
+        x = self.slice_point() + self.lambda_vector() / m
         if np.any(x > 1.0) or x.sum() > 1.0:
             raise ValidationError(f"bandwidth m={m} too small to realize the profile")
         return x
@@ -163,18 +167,28 @@ def density_bias_terms(model: DensityModel, x: "SimplexPoint | float | Sequence[
     grad = np.asarray(model.density_grad(pt), dtype=float)
     hess = np.asarray(model.density_hessian(pt), dtype=float)
     d = len(pt)
-    eye = np.eye(d)
-    cov = pt[:, None] * eye - np.outer(pt, pt)
-    delta1 = float(np.dot(0.5 - pt, grad) + 0.5 * np.sum(cov * hess))
+    delta1 = float(np.dot(0.5 - pt, grad)) + _covariance_term(pt, hess, np.ones(d, dtype=bool))
     coeff2 = (
-        (1.0 / 6.0) * eye
-        + 0.125 * (1.0 - eye)
-        - 0.5 * pt[:, None] * eye
+        _m2_coefficients(np.zeros(d))
+        - 0.5 * pt[:, None] * np.eye(d)
         - 0.5 * pt[None, :]
         + np.outer(pt, pt)
     )
     delta2 = float(np.sum(coeff2 * hess))
     return delta1, delta2
+
+
+def _covariance_term(x: np.ndarray, hess: np.ndarray, mask: np.ndarray) -> float:
+    """``1/2 sum_ij (x_i delta_ij - x_i x_j) hess_ij`` over the coordinates in ``mask``."""
+    sub = x[mask]
+    cov = sub[:, None] * np.eye(len(sub)) - np.outer(sub, sub)
+    return 0.5 * float(np.sum(cov * hess[np.ix_(mask, mask)]))
+
+
+def _m2_coefficients(lam: np.ndarray) -> np.ndarray:
+    """Coefficients of the m^-2 bias bracket: ``(1/6 + lam_i) delta_ij + (1/8 + lam_j/2)(1 - delta_ij)``."""
+    eye = np.eye(len(lam))
+    return (1.0 / 6.0 + lam[:, None]) * eye + (0.125 + 0.5 * lam[None, :]) * (1.0 - eye)
 
 
 @dataclass(frozen=True)
@@ -188,6 +202,10 @@ class BiasExpansion:
     order_note: str
 
 
+def _bias_expansion(b1: float, b2: float, m: float, note: str) -> BiasExpansion:
+    return BiasExpansion(bracket_m1=b1, bracket_m2=b2, m=float(m), value=b1 / m + b2 / m**2, order_note=note)
+
+
 def density_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: float) -> BiasExpansion:
     """Two-term bias of the density estimator at a near-boundary profile.
 
@@ -197,65 +215,85 @@ def density_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: floa
     coefficients of :func:`density_bias_terms`.
     """
     _check_model(model, profile)
-    if m <= 0:
-        raise ValidationError(f"bandwidth must be positive, got {m}")
-    d = profile.d
+    _check_mn(m, 1.0)
     if profile.j_size == 0:
         b1, b2 = density_bias_terms(model, profile.realized_point(m))
     else:
         xs = profile.slice_point()
+        off_j = profile.off_j
         grad_s = np.asarray(model.density_grad(xs), dtype=float)
         hess_s = np.asarray(model.density_hessian(xs), dtype=float)
-        off_j = np.array([i not in profile.j_set for i in range(1, d + 1)])
-        b1 = float(np.dot(0.5 - xs * off_j, grad_s))
-        if off_j.any():
-            sub = np.ix_(off_j, off_j)
-            x_sub = xs[off_j]
-            cov = x_sub[:, None] * np.eye(off_j.sum()) - np.outer(x_sub, x_sub)
-            b1 += 0.5 * float(np.sum(cov * hess_s[sub]))
-        origin = np.zeros(d)
+        b1 = float(np.dot(0.5 - xs * off_j, grad_s)) + _covariance_term(xs, hess_s, off_j)
+        origin = np.zeros(profile.d)
         grad_0 = np.asarray(model.density_grad(origin), dtype=float)
         hess_0 = np.asarray(model.density_hessian(origin), dtype=float)
         lam = profile.lambda_vector()
-        eye = np.eye(d)
-        coeff = (1.0 / 6.0 + lam[:, None]) * eye + (0.125 + 0.5 * lam[None, :]) * (1.0 - eye)
-        b2 = float(-np.dot(lam, grad_0) + np.sum(coeff * hess_0))
-    note = "o(m^-2)" if profile.is_full_boundary else "o(m^-2 + m^-1)"
-    return BiasExpansion(
-        bracket_m1=b1,
-        bracket_m2=b2,
-        m=float(m),
-        value=b1 / m + b2 / m**2,
-        order_note=note,
-    )
+        b2 = float(-np.dot(lam, grad_0) + np.sum(_m2_coefficients(lam) * hess_0))
+    return _bias_expansion(b1, b2, m, "o(m^-2)" if profile.is_full_boundary else "o(m^-2 + m^-1)")
 
 
 # ---------------------------------------------------------------------------
 # density estimator: variance, mse, optimal bandwidth
 # ---------------------------------------------------------------------------
 
-def _variance_factor(model: DensityModel, profile: BoundaryProfile) -> float:
-    """The m- and n-free part of the leading variance term."""
-    xs = profile.slice_point()
-    f_slice = float(model.density(xs))
-    psi_factor = psi(xs, sorted(set(range(1, profile.d + 1)) - profile.j_set))
+def _boundary_factor(profile: BoundaryProfile, lead: float = 1.0) -> float:
+    """``(lead * psi)`` over the fixed coordinates, times ``prod_J P{X = Y}(lambda_i)``.
+
+    With ``lead = 1`` this is the limit of ``m^((d-|J|)/2)`` times the
+    squared-weight sum; with the density on the slice it is the variance factor.
+    """
     prod = 1.0
     for lam in profile.boundary.values():
         prod *= poisson_equal_probability(lam)
-    return f_slice * psi_factor * prod
+    return lead * psi(profile.slice_point(), profile.interior) * prod
+
+
+def _variance_factor(model: DensityModel, profile: BoundaryProfile) -> float:
+    """The m- and n-free part of the leading variance term."""
+    return _boundary_factor(profile, float(model.density(profile.slice_point())))
+
+
+def _density_variance(
+    model: DensityModel, profile: BoundaryProfile, m: float, n: float
+) -> tuple[float, float]:
+    """The leading variance term at ``(m, n)`` and its m- and n-free factor."""
+    _check_model(model, profile)
+    _check_mn(m, n)
+    vfactor = _variance_factor(model, profile)
+    return m ** (0.5 * (profile.d + profile.j_size)) / n * vfactor, vfactor
 
 
 def density_variance_leading(
     model: DensityModel, profile: BoundaryProfile, m: float, n: float
 ) -> float:
     """Leading variance term ``n^-1 m^((d+|J|)/2)`` times the profile factor."""
-    _check_model(model, profile)
-    _check_mn(m, n)
-    power = 0.5 * (profile.d + profile.j_size)
-    return m**power / n * _variance_factor(model, profile)
+    return _density_variance(model, profile, m, n)[0]
 
 
 _DENSITY_VAR_NOTE = "n^-1 m^((d+|J|)/2) (O(m^-1) + o(1) [J not full])"
+
+
+def _mse_optimum(bracket: float, order: int, a: int, vfactor: float, n: float) -> tuple[float, float] | str:
+    """Minimizer of ``bracket^2 m^(-2 order) + vfactor m^(a/2) / n`` and the mse it attains.
+
+    In closed form ``m* = (n bracket^2 / ((a / 4 order) vfactor))^(2 / (a + 4 order))``.
+    Returns the reason instead when no interior optimum exists.
+    """
+    if bracket == 0.0:
+        return "none (zero bias bracket)"
+    if vfactor == 0.0:
+        return "none (zero variance factor)"
+    q = 4.0 * order
+    s = a + q
+    scale = (a / q) * vfactor
+    m_opt = n ** (2.0 / s) * abs(bracket) ** (4.0 / s) / scale ** (2.0 / s)
+    mse = (
+        n ** (-q / s)
+        * abs(bracket) ** (2.0 * a / s)
+        * (q / a + 1.0)
+        * scale ** (q / s)
+    )
+    return m_opt, mse
 
 
 def density_m_opt(
@@ -264,30 +302,11 @@ def density_m_opt(
     """Bandwidth minimizing the two-term mse, with the mse it attains.
 
     Returns ``None`` when no interior optimum exists: either the leading
-    bias bracket or the leading variance factor vanishes.
+    bias bracket or the leading variance factor vanishes.  The optimum does
+    not depend on ``m``, so it is the one :func:`density_mse` reports at any ``m``.
     """
-    _check_model(model, profile)
-    _check_mn(1.0, n)
-    bracket = density_bias_boundary(model, profile, 1.0).bracket_m1
-    vfactor = _variance_factor(model, profile)
-    if bracket == 0.0 or vfactor == 0.0:
-        return None
-    a = profile.d + profile.j_size
-    s = a + 4.0
-    m_opt = n ** (2.0 / s) * abs(bracket) ** (4.0 / s) / ((a / 4.0) * vfactor) ** (2.0 / s)
-    mse = (
-        n ** (-4.0 / s)
-        * abs(bracket) ** (2.0 * a / s)
-        * (4.0 / a + 1.0)
-        * ((a / 4.0) * vfactor) ** (4.0 / s)
-    )
-    return m_opt, mse
-
-
-def _density_m_opt_note(bracket: float, vfactor: float) -> str:
-    if bracket == 0.0:
-        return "none (zero bias bracket)"
-    return "none (zero variance factor)" if vfactor == 0.0 else ""
+    report = density_mse(model, profile, 1.0, n)
+    return None if report.m_opt is None else (report.m_opt, report.mse_at_m_opt)
 
 
 def density_mse(
@@ -295,32 +314,11 @@ def density_mse(
 ) -> "ExpansionReport":
     """Two-term mse of the density estimator: leading variance + squared leading bias."""
     bias = density_bias_boundary(model, profile, m)
-    var = density_variance_leading(model, profile, m, n)
+    var, vfactor = _density_variance(model, profile, m, n)
     mse = var + (bias.bracket_m1 / m) ** 2
-    opt = density_m_opt(model, profile, n)
-    vfactor = _variance_factor(model, profile)
-    return ExpansionReport(
-        estimator="density",
-        model=model.name,
-        profile=profile.to_dict(),
-        m=float(m),
-        n=float(n),
-        terms={
-            "bias_m1": bias.bracket_m1,
-            "bias_m2": bias.bracket_m2,
-            "bias": bias.value,
-            "var_leading": var,
-            "mse": mse,
-        },
-        order_notes={
-            "bias": bias.order_note,
-            "var_leading": _DENSITY_VAR_NOTE,
-            "mse": "sum of the two error orders above",
-        },
-        m_opt=None if opt is None else opt[0],
-        mse_at_m_opt=None if opt is None else opt[1],
-        m_opt_note=_density_m_opt_note(bias.bracket_m1, vfactor) if opt is None else "",
-    )
+    opt = _mse_optimum(bias.bracket_m1, 1, profile.d + profile.j_size, vfactor, n)
+    terms, notes = _two_term_entries(bias, var, _DENSITY_VAR_NOTE, mse)
+    return _report("density", model, profile, m, n, terms, notes, opt)
 
 
 # -- reduced-bias variant under vanishing boundary derivatives --------------
@@ -336,28 +334,22 @@ def shoulder_bracket(model: DensityModel, profile: BoundaryProfile) -> float:
     xs = profile.slice_point()
     grad = np.asarray(model.density_grad(xs), dtype=float)
     hess = np.asarray(model.density_hessian(xs), dtype=float)
-    d = profile.d
-    for i in range(d):
+    for i in range(profile.d):
         if abs(grad[i]) > SHOULDER_TOL:
             raise ValidationError(
                 f"shoulder condition violated: df/dx_{i + 1} at the boundary slice is {grad[i]!r}"
             )
-    off_j = [i for i in range(d) if (i + 1) not in profile.j_set]
-    for i in off_j:
-        for j in off_j:
-            if abs(hess[i, j]) > SHOULDER_TOL:
-                raise ValidationError(
-                    "shoulder condition violated: "
-                    f"d2f/dx_{i + 1}dx_{j + 1} at the boundary slice is {hess[i, j]!r}"
-                )
-    lam = profile.lambda_vector()
+    fixed = np.outer(profile.off_j, profile.off_j)
+    violated = np.argwhere(fixed & (np.abs(hess) > SHOULDER_TOL))
+    if len(violated):
+        i, j = violated[0]
+        raise ValidationError(
+            "shoulder condition violated: "
+            f"d2f/dx_{i + 1}dx_{j + 1} at the boundary slice is {hess[i, j]!r}"
+        )
     total = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i in off_j and j in off_j:
-                continue
-            coeff = (1.0 / 6.0 + lam[i]) if i == j else (0.125 + 0.5 * lam[j])
-            total += coeff * hess[i, j]
+    for term in (_m2_coefficients(profile.lambda_vector()) * hess)[~fixed]:
+        total += term  # pair by pair: np.sum's pairwise reduction rounds differently from d = 3 on
     return float(total)
 
 
@@ -370,21 +362,8 @@ def density_m_opt_shoulder(
             "the reduced-bias optimum is only defined when every coordinate scales "
             "with the bandwidth (J = {1..d})"
         )
-    _check_mn(1.0, n)
-    b2 = shoulder_bracket(model, profile)
-    vfactor = _variance_factor(model, profile)
-    if b2 == 0.0 or vfactor == 0.0:
-        return None
-    d = profile.d
-    s = d + 4.0
-    m_opt = n ** (1.0 / s) * abs(b2) ** (2.0 / s) / ((d / 4.0) * vfactor) ** (1.0 / s)
-    mse = (
-        n ** (-4.0 / s)
-        * abs(b2) ** (2.0 * d / s)
-        * (4.0 / d + 1.0)
-        * ((d / 4.0) * vfactor) ** (4.0 / s)
-    )
-    return m_opt, mse
+    report = density_mse_shoulder(model, profile, 1.0, n)
+    return None if report.m_opt is None else (report.m_opt, report.mse_at_m_opt)
 
 
 def density_mse_shoulder(
@@ -393,33 +372,21 @@ def density_mse_shoulder(
     """Mse with the m^-4 squared bias term, valid under the shoulder condition."""
     _check_mn(m, n)
     b2 = shoulder_bracket(model, profile)
-    var = density_variance_leading(model, profile, m, n)
-    mse = var + b2**2 / m**4
-    opt = density_m_opt_shoulder(model, profile, n) if profile.is_full_boundary else None
-    vfactor = _variance_factor(model, profile)
+    var, vfactor = _density_variance(model, profile, m, n)
     if profile.is_full_boundary:
-        note = "" if opt is not None else _density_m_opt_note(b2, vfactor)
+        opt = _mse_optimum(b2, 2, 2 * profile.d, vfactor, n)
     else:
-        note = "none (optimum defined only for full J)"
-    return ExpansionReport(
-        estimator="density",
-        model=model.name,
-        profile=profile.to_dict(),
-        m=float(m),
-        n=float(n),
-        terms={
-            "bias_m2_shoulder": b2,
-            "var_leading": var,
-            "mse": mse,
-        },
-        order_notes={
-            "var_leading": _DENSITY_VAR_NOTE,
-            "mse": "+ o(m^-4 + m^-3 [J not full])",
-        },
-        m_opt=None if opt is None else opt[0],
-        mse_at_m_opt=None if opt is None else opt[1],
-        m_opt_note=note,
-    )
+        opt = "none (optimum defined only for full J)"
+    terms = {
+        "bias_m2_shoulder": b2,
+        "var_leading": var,
+        "mse": var + b2**2 / m**4,
+    }
+    notes = {
+        "var_leading": _DENSITY_VAR_NOTE,
+        "mse": "+ o(m^-4 + m^-3 [J not full])",
+    }
+    return _report("density", model, profile, m, n, terms, notes, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -439,30 +406,15 @@ def cdf_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: float) -
     """
     _check_model(model, profile)
     model.require_cdf()
-    if m <= 0:
-        raise ValidationError(f"bandwidth must be positive, got {m}")
-    if profile.j_size > 0 and profile.has_zero_lambda:
+    _check_mn(m, 1.0)
+    if profile.has_zero_lambda:
         return BiasExpansion(0.0, 0.0, float(m), 0.0, "exact (estimator vanishes a.s.)")
-    d = profile.d
     xs = profile.slice_point()
-    hess_s = np.asarray(model.cdf_hessian(xs), dtype=float)
-    off_j = np.array([i not in profile.j_set for i in range(1, d + 1)])
-    b1 = 0.0
-    if off_j.any():
-        sub = np.ix_(off_j, off_j)
-        x_sub = xs[off_j]
-        cov = x_sub[:, None] * np.eye(off_j.sum()) - np.outer(x_sub, x_sub)
-        b1 = 0.5 * float(np.sum(cov * hess_s[sub]))
-    hess_0 = np.asarray(model.cdf_hessian(np.zeros(d)), dtype=float)
+    b1 = _covariance_term(xs, np.asarray(model.cdf_hessian(xs), dtype=float), profile.off_j)
+    hess_0 = np.asarray(model.cdf_hessian(np.zeros(profile.d)), dtype=float)
     lam = profile.lambda_vector()
     b2 = 0.5 * float(np.dot(lam, np.diag(hess_0)))
-    return BiasExpansion(
-        bracket_m1=b1,
-        bracket_m2=b2,
-        m=float(m),
-        value=b1 / m + b2 / m**2,
-        order_note=_CDF_BIAS_NOTE,
-    )
+    return _bias_expansion(b1, b2, m, _CDF_BIAS_NOTE)
 
 
 @dataclass(frozen=True)
@@ -484,7 +436,7 @@ def cdf_variance_boundary(
     _check_model(model, profile)
     model.require_cdf()
     _check_mn(m, n)
-    if profile.j_size > 0 and profile.has_zero_lambda:
+    if profile.has_zero_lambda:
         return VarianceExpansion(0.0, "exact (estimator vanishes a.s.)")
     d = profile.d
     xs = profile.slice_point()
@@ -511,35 +463,14 @@ def cdf_mse(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -
     """
     bias = cdf_bias_boundary(model, profile, m)
     var = cdf_variance_boundary(model, profile, m, n)
-    mse = var.value + bias.value**2
-    if profile.j_size > 0 and profile.has_zero_lambda:
+    if profile.has_zero_lambda:
         note = "none (estimator vanishes a.s.; mse exactly 0)"
     elif profile.j_size > 0:
         note = "none (no finite optimum in m)"
     else:
         note = "interior case: optimal m handled by the interior expansion, not here"
-    return ExpansionReport(
-        estimator="cdf",
-        model=model.name,
-        profile=profile.to_dict(),
-        m=float(m),
-        n=float(n),
-        terms={
-            "bias_m1": bias.bracket_m1,
-            "bias_m2": bias.bracket_m2,
-            "bias": bias.value,
-            "var_leading": var.value,
-            "mse": mse,
-        },
-        order_notes={
-            "bias": bias.order_note,
-            "var_leading": var.order_note,
-            "mse": "sum of the two error orders above",
-        },
-        m_opt=None,
-        mse_at_m_opt=None,
-        m_opt_note=note,
-    )
+    terms, notes = _two_term_entries(bias, var.value, var.order_note, var.value + bias.value**2)
+    return _report("cdf", model, profile, m, n, terms, notes, note)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +512,36 @@ class ExpansionReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
+
+
+def _two_term_entries(bias: BiasExpansion, var: float, var_note: str, mse: float) -> tuple[dict, dict]:
+    """Terms and order notes of a report on the two-term bias and the leading variance."""
+    terms = {
+        "bias_m1": bias.bracket_m1,
+        "bias_m2": bias.bracket_m2,
+        "bias": bias.value,
+        "var_leading": var,
+        "mse": mse,
+    }
+    notes = {
+        "bias": bias.order_note,
+        "var_leading": var_note,
+        "mse": "sum of the two error orders above",
+    }
+    return terms, notes
+
+
+def _report(
+    estimator: str, model: DensityModel, profile: BoundaryProfile, m: float, n: float,
+    terms: dict[str, float], order_notes: dict[str, str], opt: tuple[float, float] | str,
+) -> ExpansionReport:
+    """The report; ``opt`` is ``(m_opt, mse_at_m_opt)`` or the reason no optimum exists."""
+    m_opt, mse_at_m_opt = (None, None) if isinstance(opt, str) else opt
+    return ExpansionReport(
+        estimator=estimator, model=model.name, profile=profile.to_dict(), m=float(m), n=float(n),
+        terms=terms, order_notes=order_notes, m_opt=m_opt, mse_at_m_opt=mse_at_m_opt,
+        m_opt_note=opt if isinstance(opt, str) else "",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,14 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{path}: expected a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _colored(text: str, ok: bool, stream) -> str:
@@ -125,7 +128,12 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     model = build_model(str(model_spec.pop("name", "")), model_spec)
     profile = BoundaryProfile.from_dict(cfg["profile"])
     estimator = cfg.get("estimator", "density")
-    m, n = float(cfg["m"]), float(cfg["n"])
+    try:
+        m, n = float(cfg["m"]), float(cfg["n"])
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"theory config: 'm' and 'n' must be numbers, got {cfg['m']!r} and {cfg['n']!r}"
+        ) from None
     if estimator == "density":
         if cfg.get("shoulder", False):
             report = density_mse_shoulder(model, profile, m, n)

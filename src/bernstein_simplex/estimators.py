@@ -18,20 +18,20 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .simplex import SimplexPoint, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
+from .simplex import COORD_TOLERANCE, SimplexPoint, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
 
 
 def _validated_points(arr: np.ndarray, tol: float, lines: Sequence[int] | None = None) -> np.ndarray:
-    """``arr`` checked, clipped and rescaled onto the simplex; errors name a row by index or ``lines[index]``."""
+    """``arr`` checked, clipped and rescaled onto the simplex; errors name a row by ``lines[index]``, else 1-based."""
     if arr.ndim != 2:
         raise ValidationError("data must be a 2-d array of shape (n, d)")
     n, d = arr.shape
     if n < 1 or d < 1:
         raise ValidationError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
-    name = int if lines is None else lines.__getitem__
+    name = (lambda row: row + 1) if lines is None else lines.__getitem__
     if not np.all(np.isfinite(arr)):
         row = int(np.argwhere(~np.isfinite(arr))[0, 0])
         raise ValidationError(f"row {name(row)}: non-finite value")
@@ -59,7 +59,7 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _validated_points(np.asarray(self.points, dtype=float), 1e-12))
+        object.__setattr__(self, "points", _validated_points(np.asarray(self.points, dtype=float), COORD_TOLERANCE))
 
     @classmethod
     def from_points(cls, rows: Sequence[Sequence[float]] | np.ndarray) -> "Dataset":

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import BoundaryProfile, psi
-from .bessel import poisson_equal_probability, poisson_within_one_probability
+from .asymptotics import BoundaryProfile, _boundary_factor
+from .bessel import poisson_within_one_probability
 from .errors import ValidationError
 from .simplex import SimplexPoint, lattice_array, log_multinomial_pmf
 
@@ -37,10 +37,7 @@ def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: in
 
 def pmf_square_sum_limit(profile: BoundaryProfile) -> float:
     """Limit of ``m^((d-|J|)/2)`` times the squared-weight sum at the profile."""
-    factor = psi(profile.slice_point(), sorted(set(range(1, profile.d + 1)) - profile.j_set))
-    for lam in profile.boundary.values():
-        factor *= poisson_equal_probability(lam)
-    return factor
+    return _boundary_factor(profile)
 
 
 def _power_sum_scale(m: int, profile: BoundaryProfile, power: int) -> float:

@@ -184,17 +184,19 @@ class Experiment:
     def __post_init__(self) -> None:
         if self.kind not in ("density", "cdf"):
             raise ValidationError(f"kind must be 'density' or 'cdf', got {self.kind!r}")
+        for key in ("m_grid", "n_grid", "replicates", "seed"):
+            value = getattr(self, key)
+            try:
+                converted = tuple(map(int, value)) if key.endswith("_grid") else int(value)
+            except (TypeError, ValueError):
+                raise ValidationError(f"experiment field {key!r} is malformed: {value!r}") from None
+            object.__setattr__(self, key, converted)
         if self.replicates < 2:
             raise ValidationError(f"need at least 2 replicates, got {self.replicates}")
-        m_grid = tuple(int(v) for v in self.m_grid)
-        n_grid = tuple(int(v) for v in self.n_grid)
-        if not m_grid or not n_grid:
+        if not self.m_grid or not self.n_grid:
             raise ValidationError("m_grid and n_grid must be non-empty")
-        if any(v < 1 for v in m_grid + n_grid):
+        if any(v < 1 for v in self.m_grid + self.n_grid):
             raise ValidationError("all grid values must be >= 1")
-        object.__setattr__(self, "m_grid", m_grid)
-        object.__setattr__(self, "n_grid", n_grid)
-        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "model_params", dict(self.model_params))
 
     @classmethod
@@ -206,10 +208,10 @@ class Experiment:
                 model_params=model_spec,
                 profile=BoundaryProfile.from_dict(spec["profile"]),
                 kind=str(spec["kind"]),
-                m_grid=tuple(spec["m_grid"]),
-                n_grid=tuple(spec["n_grid"]),
-                replicates=int(spec["replicates"]),
-                seed=int(spec["seed"]),
+                m_grid=spec["m_grid"],
+                n_grid=spec["n_grid"],
+                replicates=spec["replicates"],
+                seed=spec["seed"],
             )
         except KeyError as missing:
             raise ValidationError(f"experiment config is missing {missing}") from None

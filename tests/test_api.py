@@ -1,10 +1,13 @@
-"""The package's public surface, pinned name by name.
+"""The package's public surface, pinned name by name and flag by flag.
 
-Adding or retiring a public name must show up as a change to this file;
-the README lists retired names and their replacements.
+Adding or retiring a public name or a CLI option must show up as a change
+to this file; the README lists retired names and their replacements.
 """
 
+import argparse
+
 import bernstein_simplex
+from bernstein_simplex.cli import _build_parser
 
 SUBMODULES = {
     "asymptotics", "bessel", "errors", "estimators", "lattice_sums", "models", "moments", "montecarlo", "simplex",
@@ -49,3 +52,25 @@ def test_retired_names_are_gone():
     for name in RETIRED:
         assert not hasattr(bernstein_simplex, name)
         assert not hasattr(bernstein_simplex.simplex, name)
+
+
+CLI_OPTIONS = {
+    None: {"-h", "--help", "--threads"},
+    "estimate": {"-h", "--help", "--data", "--m", "--kind", "--points"},
+    "theory": {"-h", "--help", "--config"},
+    "verify": {"-h", "--help", "--config"},
+    "sums": {"-h", "--help", "--profile", "--m-grid"},
+    "moments": {"-h", "--help", "--d", "--m", "--x", "--indices"},
+}
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+def test_cli_options_are_pinned():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {None: _option_strings(parser)}
+    found.update({name: _option_strings(sub) for name, sub in subparsers.choices.items()})
+    assert found == CLI_OPTIONS

@@ -282,6 +282,14 @@ class TestBandwidthChoice:
             assert mse(1.01 * m_opt) > mse(m_opt)
             assert mse(m_opt) == pytest.approx(mse_at, rel=1e-12)
             tested += 1
+        # the reduced-bias optimum, on full-J profiles where the gradient vanishes at the origin
+        for model, profile in shoulder_cases():
+            n = 1e5
+            m_opt, mse_at = density_m_opt_shoulder(model, profile, n)
+            mse = lambda m: density_mse_shoulder(model, profile, m, n).terms["mse"]
+            assert mse(0.99 * m_opt) > mse(m_opt)
+            assert mse(1.01 * m_opt) > mse(m_opt)
+            assert mse(m_opt) == pytest.approx(mse_at, rel=1e-12)
 
     def test_closed_form_matches_numerical_minimizer(self, beta12):
         minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
@@ -306,6 +314,26 @@ def make_flat_shoulder_model() -> DensityModel:
         density_grad=lambda x: np.array([1.5 * float(np.atleast_1d(x)[0])]),
         density_hessian=lambda x: np.array([[1.5]]),
     )
+
+
+def make_quadratic_shoulder_model() -> DensityModel:
+    """d=2 density 1 + x^T A x: zero gradient at the origin, constant Hessian 2A."""
+    a = np.array([[1.5, -0.5], [-0.5, 2.0]])
+    return DensityModel(
+        name="poly(1+xAx)",
+        d=2,
+        density=lambda x: 1.0 + float(np.asarray(x) @ a @ np.asarray(x)),
+        density_grad=lambda x: 2.0 * a @ np.asarray(x),
+        density_hessian=lambda x: 2.0 * a,
+    )
+
+
+def shoulder_cases() -> list[tuple[DensityModel, BoundaryProfile]]:
+    """Full-J profiles, with models whose gradient vanishes at the origin and whose Hessian does not."""
+    return [
+        (make_flat_shoulder_model(), BoundaryProfile(d=1, boundary={1: 0.5})),
+        (make_quadratic_shoulder_model(), BoundaryProfile(d=2, boundary={1: 0.5, 2: 1.5})),
+    ]
 
 
 class TestShoulder:
@@ -349,6 +377,10 @@ class TestShoulder:
         opt4 = density_m_opt_shoulder(model, prof, 1e4)
         opt6 = density_m_opt_shoulder(model, prof, 1e6)
         assert opt6[1] / opt4[1] == pytest.approx(100.0 ** (-4.0 / 5.0), rel=1e-12)
+
+    def test_bracket_is_the_second_density_bracket_on_full_j(self):
+        for model, profile in shoulder_cases():
+            assert shoulder_bracket(model, profile) == density_bias_boundary(model, profile, 20).bracket_m2
 
     def test_mse_uses_fourth_power(self):
         model = make_flat_shoulder_model()

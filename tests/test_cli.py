@@ -164,6 +164,44 @@ class TestTheory:
         assert code == 1 and "not found" in err
 
 
+THEORY_OK = {"model": {"name": "uniform", "d": 1}, "profile": {"d": 1, "interior": {"1": 0.5}}, "m": 20, "n": 1000}
+VERIFY_OK = {
+    "model": {"name": "uniform", "d": 1},
+    "profile": {"d": 1, "boundary": {"1": 1.0}},
+    "kind": "density",
+    "m_grid": [20],
+    "n_grid": [100],
+    "replicates": 5,
+    "seed": 1,
+}
+
+
+class TestMalformedConfig:
+    """A malformed config exits 1 with an ``error:`` line naming what is wrong, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command,payload,named",
+        [
+            ("sums", {"boundary": {"1": 1.0}}, "'d'"),
+            ("sums", {"d": 1, "boundary": {"1": "abc"}}, "'boundary'"),
+            ("sums", [1, 2], "JSON object"),
+            ("theory", dict(THEORY_OK, profile={"interior": {"1": 0.5}}), "'d'"),
+            ("theory", dict(THEORY_OK, m="forty"), "'m'"),
+            ("verify", dict(VERIFY_OK, n_grid="abc"), "'n_grid'"),
+            ("verify", [1, 2], "JSON object"),
+        ],
+        ids=["sums-no-d", "sums-bad-lambda", "sums-array", "theory-no-d", "theory-bad-m", "verify-bad-grid",
+             "verify-array"],
+    )
+    def test_exits_with_error_line(self, tmp_path, capsys, command, payload, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        flags = ["--profile", str(path), "--m-grid", "10"] if command == "sums" else ["--config", str(path)]
+        code, out, err = run_cli([command, *flags], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and named in err
+
+
 class TestVerify:
     def test_small_run(self, tmp_path, capsys):
         config = tmp_path / "exp.json"

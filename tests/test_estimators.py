@@ -34,6 +34,12 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset.from_points([[-0.2]])
 
+    def test_array_rows_named_one_based_like_csv_rows(self):
+        with pytest.raises(ValidationError, match="row 1: coordinate sum"):
+            Dataset.from_points([[0.5, 0.9]])
+        with pytest.raises(ValidationError, match="row 2: negative coordinate"):
+            Dataset.from_points([[0.1, 0.2], [-0.5, 0.3]])
+
     def test_points_are_readonly(self):
         data = Dataset.from_points([[0.1], [0.5]])
         with pytest.raises(ValueError):

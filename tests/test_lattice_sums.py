@@ -7,6 +7,8 @@ import pytest
 from bernstein_simplex import (
     BoundaryProfile,
     ValidationError,
+    density_variance_leading,
+    dirichlet_model,
     min_coupling_diagnostics,
     min_coupling_limit,
     min_coupling_sum,
@@ -177,6 +179,15 @@ class TestDiagnostics:
         for name, prof in PROFILES.items():
             for row in pmf_square_diagnostics(prof, (20, 45)):
                 assert row.scaled_exact == pmf_power_sum_scaled(row.m, prof, 2)
+
+    @pytest.mark.parametrize("name", list(PROFILES))
+    def test_density_variance_shares_the_square_sum_limit(self, name):
+        # the density variance factor is f on the slice times the squared-weight sum limit
+        prof = PROFILES[name]
+        model = dirichlet_model([1.0 if i in prof.boundary else 2.0 for i in range(1, prof.d + 1)] + [2.0])
+        m, n = 400.0, 1e5
+        scaled = density_variance_leading(model, prof, m, n) * n / m ** ((prof.d + prof.j_size) / 2)
+        assert scaled == pytest.approx(model.density(prof.slice_point()) * pmf_square_sum_limit(prof), rel=1e-15)
 
     def test_csv_round_trip(self):
         rows = pmf_square_diagnostics(PROFILES["d1-boundary"], (50, 100))
