@@ -27,7 +27,7 @@ from .errors import SizeLimitError, ValidationError
 from .estimators import Dataset, bernstein_cdf_many, density_from_counts, histogram_counts
 from .lattice_sums import min_coupling_diagnostics, pmf_square_diagnostics, write_diagnostics_csv
 from .moments import MomentQuery, central_moment_analytic, central_moment_bruteforce
-from .montecarlo import Experiment, band_summary, build_model, run_experiment, write_mc_csv
+from .montecarlo import Experiment, band_summary, build_model, model_spec, run_experiment, write_mc_csv
 from .simplex import SimplexPoint
 
 
@@ -124,8 +124,8 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     for key in ("model", "profile", "m", "n"):
         if key not in cfg:
             raise ValidationError(f"theory config is missing {key!r}")
-    model_spec = dict(cfg["model"])
-    model = build_model(str(model_spec.pop("name", "")), model_spec)
+    params = model_spec(cfg["model"])
+    model = build_model(str(params.pop("name", "")), params)
     profile = BoundaryProfile.from_dict(cfg["profile"])
     estimator = cfg.get("estimator", "density")
     try:

@@ -52,6 +52,71 @@ def _validated_points(arr: np.ndarray, tol: float, lines: Sequence[int] | None =
     return arr
 
 
+def _csv_floats(record: list[str]) -> list[float] | None:
+    """The cells of a CSV record as floats, or ``None`` if one of them is not a number."""
+    try:
+        return [float(cell) for cell in record]
+    except ValueError:
+        return None
+
+
+def _blank(record: list[str]) -> bool:
+    return not record or all(not cell.strip() for cell in record)
+
+
+def _read_csv_rows(lines: Iterable[str], d: int | None) -> np.ndarray:
+    """The points of a CSV source read row by row; errors name the row by its 1-based CSV record."""
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    for lineno, record in enumerate(csv.reader(lines), start=1):
+        if _blank(record):
+            continue
+        values = _csv_floats(record)
+        if values is None:
+            if lineno == 1:
+                continue  # header
+            raise ValidationError(f"row {lineno}: non-numeric value")
+        if d is not None and len(values) != d:
+            raise ValidationError(f"row {lineno}: expected {d} columns, found {len(values)}")
+        if rows and len(values) != len(rows[0]):
+            raise ValidationError(f"row {lineno}: ragged row of {len(values)} columns")
+        rows.append(values)
+        linenos.append(lineno)
+    if not rows:
+        raise ValidationError("no data rows found")
+    return _validated_points(np.asarray(rows, dtype=float), CSV_TOLERANCE, linenos)
+
+
+def _loadtxt_points(text: str, d: int | None) -> np.ndarray | None:
+    """What :func:`_read_csv_rows` returns for ``text``, from one ``np.loadtxt`` call; ``None`` where it cannot tell.
+
+    ``np.loadtxt`` accepts a subset of what ``float()`` accepts and gives the
+    same value on it.  Quotes, a byte-order mark, a lone carriage return and a
+    blank first line change how rows are split or counted, so they, a file
+    with no data row, and every parse or validation failure are left to the
+    row-by-row reader.
+    """
+    if not text or '"' in text or text.startswith("\ufeff") or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.split("\n")
+    first = next(csv.reader(lines[:1]))
+    if _blank(first):
+        return None
+    header = _csv_floats(first) is None
+    if header and all(not line.strip() for line in lines[1:]):
+        return None  # keeps np.loadtxt from warning that the input has no data
+    try:
+        arr = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, skiprows=int(header), ndmin=2)
+    except ValueError:
+        return None
+    if d is not None and arr.shape[1] != d:
+        return None
+    try:
+        return _validated_points(arr, CSV_TOLERANCE)
+    except ValidationError:
+        return None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable batch of n observations on the d-dimensional simplex."""
@@ -74,30 +139,18 @@ class Dataset:
 
         Rows violating the simplex constraints beyond ``CSV_TOLERANCE`` are
         rejected with the offending row number (1-based, counting the header).
+        The whole source is parsed in one vectorised pass; whatever that pass
+        cannot settle is read again row by row, which is where every error
+        message comes from.
         """
         if isinstance(source, str):
             with open(source, newline="") as fh:
                 return cls.from_csv(fh, d=d)
-        rows: list[list[float]] = []
-        lines: list[int] = []
-        for lineno, record in enumerate(csv.reader(source), start=1):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            try:
-                values = [float(cell) for cell in record]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise ValidationError(f"row {lineno}: non-numeric value") from None
-            if d is not None and len(values) != d:
-                raise ValidationError(f"row {lineno}: expected {d} columns, found {len(values)}")
-            if rows and len(values) != len(rows[0]):
-                raise ValidationError(f"row {lineno}: ragged row of {len(values)} columns")
-            rows.append(values)
-            lines.append(lineno)
-        if not rows:
-            raise ValidationError("no data rows found")
-        return cls(_validated_points(np.asarray(rows, dtype=float), CSV_TOLERANCE, lines))
+        text = source.read()
+        points = _loadtxt_points(text, d)
+        if points is None:
+            points = _read_csv_rows(io.StringIO(text, newline=""), d)
+        return cls(points)
 
     @property
     def n(self) -> int:

@@ -155,17 +155,37 @@ def mc_bias_variance(
 # experiments
 # ---------------------------------------------------------------------------
 
+def model_spec(value: object) -> dict:
+    """A config's ``model`` entry as a new dict; it must be a JSON object."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"config field 'model' must be an object, got {value!r}")
+    return dict(value)
+
+
 def build_model(name: str, params: Mapping[str, object]) -> DensityModel:
     """Construct a model from its config-file description."""
     if name == "dirichlet":
         if "alpha" not in params:
             raise ValidationError("dirichlet model config needs an 'alpha' list")
-        return dirichlet_model([float(a) for a in params["alpha"]])
+        alpha = params["alpha"]
+        if not isinstance(alpha, (list, tuple)) or not all(isinstance(a, (int, float)) for a in alpha):
+            raise ValidationError(f"model field 'alpha' must be a list of numbers, got {alpha!r}")
+        return dirichlet_model([float(a) for a in alpha])
     if name == "uniform":
         if "d" not in params:
             raise ValidationError("uniform model config needs a dimension 'd'")
-        return uniform_model(int(params["d"]))
+        try:
+            d = int(params["d"])
+        except (TypeError, ValueError):
+            raise ValidationError(f"model field 'd' must be an integer, got {params['d']!r}") from None
+        return uniform_model(d)
     raise ValidationError(f"unknown model {name!r}; expected 'dirichlet' or 'uniform'")
+
+
+def _grid(value: object) -> tuple[int, ...]:
+    if isinstance(value, str):
+        raise TypeError("a grid is a list of integers, not a string")
+    return tuple(map(int, value))
 
 
 @dataclass(frozen=True)
@@ -187,7 +207,7 @@ class Experiment:
         for key in ("m_grid", "n_grid", "replicates", "seed"):
             value = getattr(self, key)
             try:
-                converted = tuple(map(int, value)) if key.endswith("_grid") else int(value)
+                converted = _grid(value) if key.endswith("_grid") else int(value)
             except (TypeError, ValueError):
                 raise ValidationError(f"experiment field {key!r} is malformed: {value!r}") from None
             object.__setattr__(self, key, converted)
@@ -202,10 +222,10 @@ class Experiment:
     @classmethod
     def from_dict(cls, spec: Mapping[str, object]) -> "Experiment":
         try:
-            model_spec = dict(spec["model"])
+            params = model_spec(spec["model"])
             return cls(
-                model_name=str(model_spec.pop("name")),
-                model_params=model_spec,
+                model_name=str(params.pop("name")),
+                model_params=params,
                 profile=BoundaryProfile.from_dict(spec["profile"]),
                 kind=str(spec["kind"]),
                 m_grid=spec["m_grid"],

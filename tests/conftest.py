@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from bernstein_simplex import dirichlet_model, uniform_model
+from bernstein_simplex import Dataset, ValidationError, dirichlet_model, uniform_model
+from bernstein_simplex.estimators import CSV_TOLERANCE, _validated_points
 
 
 @pytest.fixture(scope="session")
@@ -116,3 +118,26 @@ def simplex_integral_2d(f, cells: int) -> float:
         centroid = np.array([(i + 1.0 / 3.0) * h, (j + 1.0 / 3.0) * h])
         total += f(centroid) * 0.5 * h * h
     return total
+
+
+def reference_read_csv(source, d=None) -> np.ndarray:
+    """The points of a CSV text stream, parsed row by row with float(): a header-skipping, row-naming reader."""
+    rows, lines = [], []
+    for lineno, record in enumerate(csv.reader(source), start=1):
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        try:
+            values = [float(cell) for cell in record]
+        except ValueError:
+            if lineno == 1:
+                continue  # header
+            raise ValidationError(f"row {lineno}: non-numeric value") from None
+        if d is not None and len(values) != d:
+            raise ValidationError(f"row {lineno}: expected {d} columns, found {len(values)}")
+        if rows and len(values) != len(rows[0]):
+            raise ValidationError(f"row {lineno}: ragged row of {len(values)} columns")
+        rows.append(values)
+        lines.append(lineno)
+    if not rows:
+        raise ValidationError("no data rows found")
+    return Dataset(_validated_points(np.asarray(rows, dtype=float), CSV_TOLERANCE, lines)).points

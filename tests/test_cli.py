@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -101,6 +102,28 @@ class TestEstimate:
         assert "exceeding" in err
 
 
+class TestEstimateGolden:
+    """CLI ``estimate`` stdout is pinned byte for byte on a fixed two-decimal d = 2 dataset."""
+
+    DIGESTS = {
+        "density": "a2f69f111035c82e8a9bb90e4e967467df8be666f663021689b37c83d34eafb9",
+        "cdf": "8d2fb343d9449c89b7b427fbe9a7e6c8e026e38c89a21c6aeea1fe8b92c07f0b",
+    }
+
+    @pytest.mark.parametrize("kind", ["density", "cdf"])
+    def test_stdout_digest(self, tmp_path, capsys, kind):
+        rows = [(a, b) for a in range(0, 100, 7) for b in range(0, 100 - a, 11)]  # many on the lattice k/50
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2\n" + "".join(f"{a / 100:.2f},{b / 100:.2f}\n" for a, b in rows))
+        points = tmp_path / "points.csv"
+        points.write_text("x1,x2\n0.00,0.00\n0.14,0.28\n0.20,0.30\n0.56,0.02\n0.50,0.50\n1.00,0.00\n")
+        code, out, _ = run_cli(
+            ["estimate", "--data", str(data), "--m", "50", "--kind", kind, "--points", str(points)], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[kind]
+
+
 class TestTheory:
     def write_config(self, tmp_path, payload):
         path = tmp_path / "config.json"
@@ -189,9 +212,17 @@ class TestMalformedConfig:
             ("theory", dict(THEORY_OK, m="forty"), "'m'"),
             ("verify", dict(VERIFY_OK, n_grid="abc"), "'n_grid'"),
             ("verify", [1, 2], "JSON object"),
+            ("theory", dict(THEORY_OK, model="abc"), "'model'"),
+            ("verify", dict(VERIFY_OK, model="abc"), "'model'"),
+            ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": "ab"}), "'alpha'"),
+            ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [1, "x"]}), "'alpha'"),
+            ("verify", dict(VERIFY_OK, m_grid="12"), "'m_grid'"),
+            ("verify", dict(VERIFY_OK, n_grid="100"), "'n_grid'"),
+            ("theory", dict(THEORY_OK, model={"name": "uniform", "d": "two"}), "'d'"),
         ],
         ids=["sums-no-d", "sums-bad-lambda", "sums-array", "theory-no-d", "theory-bad-m", "verify-bad-grid",
-             "verify-array"],
+             "verify-array", "theory-model-string", "verify-model-string", "theory-alpha-string",
+             "theory-alpha-non-number", "verify-m-grid-string", "verify-n-grid-string", "theory-uniform-d-string"],
     )
     def test_exits_with_error_line(self, tmp_path, capsys, command, payload, named):
         path = tmp_path / "config.json"

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstein_simplex import (
     Dataset,
@@ -18,9 +20,9 @@ from bernstein_simplex import (
 
 from bernstein_simplex import simplex
 from bernstein_simplex.cli import main
-from bernstein_simplex.estimators import _upper_grid_index
+from bernstein_simplex.estimators import _loadtxt_points, _upper_grid_index
 
-from conftest import reference_cdf, reference_cdf_1d, reference_density_1d, simplex_integral_2d
+from conftest import reference_cdf, reference_cdf_1d, reference_density_1d, reference_read_csv, simplex_integral_2d
 
 
 class TestDataset:
@@ -87,6 +89,93 @@ class TestCsvIngestion:
     def test_dimension_mismatch_flagged(self):
         with pytest.raises(ValidationError, match="row 1"):
             Dataset.from_csv(io.StringIO("0.1,0.2\n"), d=3)
+
+
+@st.composite
+def simplex_csv(draw):
+    """CSV text of points on the simplex in d = 1..4, as ``(text, d)``."""
+    d = draw(st.integers(1, 4))
+    style = draw(st.sampled_from(["repr", "%.17g", "%.2f"]))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if style == "%.2f":
+            cuts = sorted(draw(st.lists(st.integers(0, 100), min_size=d, max_size=d)))
+            rows.append([f"{(b - a) / 100:.2f}" for a, b in zip([0] + cuts, cuts)])
+        else:
+            u = draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d))
+            total = sum(u)
+            u = [x / total for x in u] if total > 1.0 else u
+            rows.append([repr(x) if style == "repr" else "%.17g" % x for x in u])
+    lines = [",".join(row) for row in rows]
+    for at in draw(st.lists(st.integers(1, len(lines)), max_size=3)):
+        lines.insert(at, "")  # blank lines anywhere after line 1
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"x{i + 1}" for i in range(d)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), d
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvParity:
+    """The one-pass parser and the row-by-row reader give the same points and the same errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_csv(), st.booleans())
+    def test_points_bit_identical(self, case, pass_d):
+        text, d = case
+        d = d if pass_d else None
+        assert _loadtxt_points(text, d) is not None  # settled in one pass
+        got = Dataset.from_csv(io.StringIO(text), d=d).points
+        want = reference_read_csv(io.StringIO(text), d)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "text,d",
+        [
+            ("0.1,0.2\n0.3\n", None),
+            ("0.1,0.2\n0.3,0.4\n", 3),
+            ("a,b\n0.1,0.2\n\n0.2,nan\n", None),
+            ("a,b\r\n\r\n0.1,0.2\r\n-inf,0.1\r\n", None),
+            ("a,b\n0.1,0.2\n\n0.2,0.3\n-0.5,0.3\n", 2),
+            ("a,b\n\n0.1,0.2\n0.9,0.3\n", None),
+            ("0.1\n0.2\noops\n0.3\n", None),
+            ("\nx1\n0.1\n", None),
+            ("0.1\n0.5 # note\n", None),
+            ("0.1\n1_0\n", None),
+            ("x1,x2\n", None),
+            ("x1,x2\n\n\r\n", 2),
+            ("", None),
+        ],
+        ids=["ragged", "d-mismatch", "nan", "inf-crlf", "negative", "sum-over-one", "non-numeric-mid-file",
+             "blank-line-1-then-header", "hash-is-not-a-comment", "underscore-digits", "header-only",
+             "header-and-blank-lines", "empty"],
+    )
+    def test_error_message_is_the_row_readers(self, text, d):
+        with pytest.raises(ValidationError) as want:
+            reference_read_csv(io.StringIO(text), d)
+        with pytest.raises(ValidationError) as got:
+            Dataset.from_csv(io.StringIO(text), d=d)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['"0.1","0.2"\n0.3,0.4\n', '"x1","x2"\n0.1,0.2\n', "\ufeff0.1\n0.2\n", "\ufeffx1\n0.1\n",
+         "0.1\n0.2_5\n", "\n0.1\n0.2\n"],
+        ids=["quoted-cells", "quoted-header", "bom-first-row", "bom-header", "underscore-digits", "blank-line-1"],
+    )
+    def test_row_reader_decides(self, text):
+        assert _loadtxt_points(text, None) is None
+        got = Dataset.from_csv(io.StringIO(text)).points
+        assert got.tobytes() == reference_read_csv(io.StringIO(text)).tobytes()
+
+    def test_lone_carriage_returns_split_rows_in_a_file(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"x1\r0.1\r\r0.2\r")
+        assert _loadtxt_points(path.read_bytes().decode(), None) is None
+        with open(path, newline="") as fh:
+            want = reference_read_csv(fh)
+        assert Dataset.from_csv(str(path)).points.tobytes() == want.tobytes()
+        assert want.tolist() == [[0.1], [0.2]]
 
 
 class TestEmpiricalCdf:
