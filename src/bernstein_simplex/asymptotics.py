@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bessel import min_coupling_factor, poisson_equal_probability
-from .errors import ValidationError
+from .errors import ValidationError, _as_int
 from .models import DensityModel
 from .simplex import SimplexPoint
 
@@ -40,10 +40,11 @@ class BoundaryProfile:
     interior: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for key in ("d", "boundary", "interior"):
+        object.__setattr__(self, "d", _as_int(self.d, "profile field 'd'"))
+        for key in ("boundary", "interior"):
             value = getattr(self, key)
             try:
-                converted = int(value) if key == "d" else {int(i): float(v) for i, v in dict(value).items()}
+                converted = {_as_int(i, f"a key of profile field {key!r}"): float(v) for i, v in dict(value).items()}
             except (TypeError, ValueError):
                 raise ValidationError(f"profile field {key!r} is malformed: {value!r}") from None
             object.__setattr__(self, key, converted)

@@ -10,24 +10,29 @@ moments  : closed-form vs enumerated central moments
 
 Validation problems exit with code 1 (naming the offending flag or row),
 lattice-size refusals with code 2.  CSV goes to stdout; the verify summary
-goes to stderr so the CSV stream stays machine-readable.
+goes to stderr so the CSV stream stays machine-readable.  A CSV cell is an
+int or a string as it is, or any other number as repr(float(v)).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
+import functools
 import json
+import numbers
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .asymptotics import BoundaryProfile, cdf_mse, density_mse, density_mse_shoulder
-from .errors import SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError, _as_int
 from .estimators import Dataset, bernstein_cdf_many, density_from_counts, histogram_counts
-from .lattice_sums import min_coupling_diagnostics, pmf_square_diagnostics, write_diagnostics_csv
+from .lattice_sums import min_coupling_diagnostics, pmf_square_diagnostics
 from .moments import MomentQuery, central_moment_analytic, central_moment_bruteforce
-from .montecarlo import Experiment, band_summary, build_model, model_spec, run_experiment, write_mc_csv
+from .montecarlo import Experiment, McRow, band_summary, build_model, model_spec, run_experiment
 from .simplex import SimplexPoint
 
 
@@ -38,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bernstein-simplex", description=__doc__)
     parser.add_argument("--threads", type=int, default=1, help="worker threads for replicate loops")
@@ -48,22 +54,27 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--m", type=int, required=True, help="bandwidth (polynomial order)")
     p_est.add_argument("--kind", choices=("density", "cdf"), required=True)
     p_est.add_argument("--points", required=True, help="CSV of evaluation points")
+    p_est.set_defaults(run=_cmd_estimate)
 
     p_theory = sub.add_parser("theory", help="expansion report for a model and profile")
     p_theory.add_argument("--config", required=True, help="JSON config file")
+    p_theory.set_defaults(run=_cmd_theory)
 
     p_verify = sub.add_parser("verify", help="Monte Carlo verification run")
     p_verify.add_argument("--config", required=True, help="JSON experiment file")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_sums = sub.add_parser("sums", help="lattice-sum diagnostic tables")
     p_sums.add_argument("--profile", required=True, help="JSON profile file")
     p_sums.add_argument("--m-grid", required=True, help="comma-separated bandwidths")
+    p_sums.set_defaults(run=_cmd_sums)
 
     p_mom = sub.add_parser("moments", help="closed-form vs enumerated central moments")
     p_mom.add_argument("--d", type=int, required=True)
     p_mom.add_argument("--m", type=int, required=True)
     p_mom.add_argument("--x", required=True, help="comma-separated coordinates")
     p_mom.add_argument("--indices", required=True, help="comma-separated 1-based indices")
+    p_mom.set_defaults(run=_cmd_moments)
     return parser
 
 
@@ -75,24 +86,36 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
-    values = _parse_floats(text, flag)
-    out = [int(v) for v in values]
-    if any(o != v for o, v in zip(out, values)):
-        raise ValidationError(f"{flag}: expected integers, got {text!r}")
-    return out
+    return [_as_int(v, f"each value of {flag}") for v in _parse_floats(text, flag)]
 
 
-def _load_json(path: str) -> dict:
+@contextlib.contextmanager
+def _reading(flag: str, path: str):
+    """Report a file named by ``flag`` that cannot be opened or decoded as a ValidationError."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        yield
     except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
+        raise ValidationError(f"{flag}: file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{flag}: cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _load_json(flag: str, path: str) -> dict:
+    try:
+        with _reading(flag, path), open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: expected a JSON object, got {cfg!r}")
     return cfg
+
+
+def _write_rows(header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
+    """CSV to stdout: ints and strings as they are, every other number as ``repr(float(v))``."""
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, (numbers.Integral, str)) else repr(float(v)) for v in row] for row in rows)
 
 
 def _colored(text: str, ok: bool, stream) -> str:
@@ -103,24 +126,24 @@ def _colored(text: str, ok: bool, stream) -> str:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    data = Dataset.from_csv(args.data)
-    points = Dataset.from_csv(args.points, d=data.d)
+    with _reading("--data", args.data):
+        data = Dataset.from_csv(args.data)
+    with _reading("--points", args.points):
+        points = Dataset.from_csv(args.points, d=data.d)
     if args.m < 1:
         raise ValidationError("--m: bandwidth must be >= 1")
-    writer = csv.writer(sys.stdout)
-    writer.writerow([f"x{i + 1}" for i in range(data.d)] + ["estimate"])
     if args.kind == "density":
         counts = histogram_counts(data, args.m)
         values = [density_from_counts(counts, data.n, row) for row in points.points]
     else:
         values = bernstein_cdf_many(data, args.m, points.points)
-    for row, value in zip(points.points, values):
-        writer.writerow([repr(float(c)) for c in row] + [repr(float(value))])
+    header = [f"x{i + 1}" for i in range(data.d)] + ["estimate"]
+    _write_rows(header, ([*row, value] for row, value in zip(points.points, values)))
     return 0
 
 
 def _cmd_theory(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config)
+    cfg = _load_json("--config", args.config)
     for key in ("model", "profile", "m", "n"):
         if key not in cfg:
             raise ValidationError(f"theory config is missing {key!r}")
@@ -147,10 +170,11 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, threads: int) -> int:
-    experiment = Experiment.from_dict(_load_json(args.config))
-    result = run_experiment(experiment, threads=threads)
-    write_mc_csv(result, sys.stdout)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    experiment = Experiment.from_dict(_load_json("--config", args.config))
+    result = run_experiment(experiment, threads=args.threads)
+    columns = [f.name for f in dataclasses.fields(McRow)]
+    _write_rows(columns, ([getattr(row, name) for name in columns] for row in result.rows))
     ok, lines = band_summary(result)
     for line in lines:
         print(line, file=sys.stderr)
@@ -160,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace, threads: int) -> int:
 
 
 def _cmd_sums(args: argparse.Namespace) -> int:
-    profile = BoundaryProfile.from_dict(_load_json(args.profile))
+    profile = BoundaryProfile.from_dict(_load_json("--profile", args.profile))
     m_grid = _parse_ints(args.m_grid, "--m-grid")
     if not m_grid:
         raise ValidationError("--m-grid: need at least one bandwidth")
@@ -169,7 +193,8 @@ def _cmd_sums(args: argparse.Namespace) -> int:
         if profile.boundary.get(p) == 0.0:
             continue  # realizes to an exact-zero coordinate; no coupling sum there
         rows.extend(min_coupling_diagnostics(profile, p, m_grid))
-    write_diagnostics_csv(rows, sys.stdout)
+    columns = ["quantity", "m", "scaled_exact", "prediction", "rel_gap"]
+    _write_rows(columns, ([getattr(row, name) for name in columns] for row in rows))
     return 0
 
 
@@ -180,33 +205,21 @@ def _cmd_moments(args: argparse.Namespace) -> int:
     indices = _parse_ints(args.indices, "--indices")
     query = MomentQuery(m=args.m, x=SimplexPoint.of(x), indices=tuple(indices))
     brute = central_moment_bruteforce(query)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["analytic", "bruteforce", "abs_diff"])
     if len(indices) <= 3:
         analytic = central_moment_analytic(query)
-        writer.writerow([repr(analytic), repr(brute), repr(abs(analytic - brute))])
+        row = [analytic, brute, abs(analytic - brute)]
     else:
-        writer.writerow(["", repr(brute), ""])
+        row = ["", brute, ""]
+    _write_rows(["analytic", "bruteforce", "abs_diff"], [row])
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.threads < 1:
             raise ValidationError("--threads must be >= 1")
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "theory":
-            return _cmd_theory(args)
-        if args.command == "verify":
-            return _cmd_verify(args, args.threads)
-        if args.command == "sums":
-            return _cmd_sums(args)
-        if args.command == "moments":
-            return _cmd_moments(args)
-        raise ValidationError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for integer inputs."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -13,3 +15,22 @@ class SizeLimitError(RuntimeError):
 
     The CLI maps this to exit code 2.
     """
+
+
+def _as_int(value: object, what: str) -> int:
+    """``value`` as an int, or a :class:`ValidationError` naming ``what``.
+
+    Ints (numpy ints too), integral floats and strings that ``int()`` reads
+    (as JSON object keys are) pass; bools, non-integral numbers and
+    everything else are refused rather than truncated.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, bool):
+        pass  # an int to Python, but never an intended count or index
+    elif isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")

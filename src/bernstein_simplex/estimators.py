@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _as_int
 from .simplex import COORD_TOLERANCE, SimplexPoint, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
 
 #: Row-level tolerance for CSV ingestion.
@@ -144,7 +144,7 @@ class Dataset:
         message comes from.
         """
         if isinstance(source, str):
-            with open(source, newline="") as fh:
+            with open(source, newline="", encoding="utf-8") as fh:
                 return cls.from_csv(fh, d=d)
         text = source.read()
         points = _loadtxt_points(text, d)
@@ -209,6 +209,7 @@ def bernstein_cdf_many(
     grid is, at ``k``, the number of observations with ``x <= k/m`` in
     every coordinate.
     """
+    m = _as_int(m, "order m")
     if m < 1:
         raise ValidationError(f"order m must be >= 1, got {m}")
     xs = [SimplexPoint.of(x) for x in points]
@@ -262,6 +263,7 @@ def histogram_counts(data: Dataset, m: int) -> HistogramCounts:
     The cube of ``x`` is one below its upper grid index, so ``x = k/m``
     falls in the cube ``((k-1)/m, k/m]``, and 0 in the lowest cube.
     """
+    m = _as_int(m, "order m")
     if m < 1:
         raise ValidationError(f"order m must be >= 1, got {m}")
     cells = _upper_grid_index(data.points, m)

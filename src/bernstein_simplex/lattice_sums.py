@@ -9,8 +9,6 @@ be verified numerically at desk scale.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,7 +17,7 @@ import numpy as np
 
 from .asymptotics import BoundaryProfile, _boundary_factor
 from .bessel import poisson_within_one_probability
-from .errors import ValidationError
+from .errors import ValidationError, _as_int
 from .simplex import SimplexPoint, lattice_array, log_multinomial_pmf
 
 
@@ -27,6 +25,7 @@ def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: in
     """Sum of the order-(m-1) multinomial weights raised to ``power`` (2 or 3)."""
     if power not in (2, 3):
         raise ValidationError(f"power must be 2 or 3, got {power}")
+    m = _as_int(m, "order m")
     if m < 1:
         raise ValidationError(f"order m must be >= 1, got {m}")
     x = SimplexPoint.of(x)
@@ -66,6 +65,7 @@ def min_coupling_sum(m: int, x_p: float) -> float:
     is computed in O(m) through the survival-function identity
     ``E[min(K, L)] = sum_t P(K >= t)^2`` and is always <= 0.
     """
+    m = _as_int(m, "order m")
     if m < 1:
         raise ValidationError(f"order m must be >= 1, got {m}")
     if not 0.0 < x_p < 1.0:
@@ -152,18 +152,8 @@ def min_coupling_diagnostics(
                 f"coordinate {p} realizes to {x_real} at m={m}; the min-coupling sum "
                 "needs a value strictly inside (0, 1)"
             )
-        exact = min_coupling_sum(int(m), x_real)
+        exact = min_coupling_sum(m, x_real)
         scaled = _min_coupling_scale(m, profile, p) * exact
         rows.append(_diagnostic(f"min_coupling_x{p}", int(m), exact, scaled, pred))
     return rows
 
-
-def write_diagnostics_csv(rows: Sequence[SumDiagnostic], fh: io.TextIOBase) -> None:
-    """Emit diagnostics as CSV with round-trippable float formatting."""
-    writer = csv.writer(fh)
-    writer.writerow(["quantity", "m", "scaled_exact", "prediction", "rel_gap"])
-    for row in rows:
-        writer.writerow(
-            [row.quantity, row.m]
-            + [repr(float(v)) for v in (row.scaled_exact, row.prediction, row.rel_gap)]
-        )

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _as_int
 from .simplex import SimplexPoint, lattice_array, log_multinomial_pmf
 
 
@@ -27,7 +27,8 @@ class MomentQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", SimplexPoint.of(self.x))
-        indices = tuple(int(i) for i in self.indices)
+        object.__setattr__(self, "m", _as_int(self.m, "order m"))
+        indices = tuple(_as_int(i, "a moment index") for i in self.indices)
         if not 2 <= len(indices) <= 4:
             raise ValidationError(f"moment order must be 2..4, got {len(indices)}")
         if any(i < 1 or i > self.x.d for i in indices):
@@ -81,12 +82,12 @@ def fourth_moment_scaling(
     The sequence stays bounded as the bandwidth grows; callers assert the
     trend they need.
     """
-    indices = tuple(int(i) for i in indices)
+    indices = tuple(indices)
     if len(indices) != 4:
         raise ValidationError(f"need exactly 4 indices, got {len(indices)}")
     point = SimplexPoint.of(x)
     out = []
     for m in m_grid:
-        query = MomentQuery(m=int(m), x=point, indices=indices)
-        out.append(abs(central_moment_bruteforce(query)) / float(m) ** 2)
+        query = MomentQuery(m=m, x=point, indices=indices)
+        out.append(abs(central_moment_bruteforce(query)) / float(query.m) ** 2)
     return out

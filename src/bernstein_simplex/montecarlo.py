@@ -9,13 +9,11 @@ can run concurrently and in any order without changing the result.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .asymptotics import (
     density_bias_boundary,
     density_variance_leading,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _as_int
 from .estimators import Dataset, bernstein_cdf, bernstein_density
 from .models import DensityModel, dirichlet_model, uniform_model
 from .simplex import SimplexPoint
@@ -174,18 +172,8 @@ def build_model(name: str, params: Mapping[str, object]) -> DensityModel:
     if name == "uniform":
         if "d" not in params:
             raise ValidationError("uniform model config needs a dimension 'd'")
-        try:
-            d = int(params["d"])
-        except (TypeError, ValueError):
-            raise ValidationError(f"model field 'd' must be an integer, got {params['d']!r}") from None
-        return uniform_model(d)
+        return uniform_model(_as_int(params["d"], "model field 'd'"))
     raise ValidationError(f"unknown model {name!r}; expected 'dirichlet' or 'uniform'")
-
-
-def _grid(value: object) -> tuple[int, ...]:
-    if isinstance(value, str):
-        raise TypeError("a grid is a list of integers, not a string")
-    return tuple(map(int, value))
 
 
 @dataclass(frozen=True)
@@ -204,13 +192,13 @@ class Experiment:
     def __post_init__(self) -> None:
         if self.kind not in ("density", "cdf"):
             raise ValidationError(f"kind must be 'density' or 'cdf', got {self.kind!r}")
-        for key in ("m_grid", "n_grid", "replicates", "seed"):
+        for key in ("m_grid", "n_grid"):
             value = getattr(self, key)
-            try:
-                converted = _grid(value) if key.endswith("_grid") else int(value)
-            except (TypeError, ValueError):
-                raise ValidationError(f"experiment field {key!r} is malformed: {value!r}") from None
-            object.__setattr__(self, key, converted)
+            if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
+                raise ValidationError(f"experiment field {key!r} must be a list of integers, got {value!r}")
+            object.__setattr__(self, key, tuple(_as_int(v, f"each value of experiment field {key!r}") for v in value))
+        for key in ("replicates", "seed"):
+            object.__setattr__(self, key, _as_int(getattr(self, key), f"experiment field {key!r}"))
         if self.replicates < 2:
             raise ValidationError(f"need at least 2 replicates, got {self.replicates}")
         if not self.m_grid or not self.n_grid:
@@ -269,30 +257,6 @@ def run_experiment(experiment: Experiment, threads: int = 1) -> McResult:
             )
         )
     return McResult(experiment=experiment, rows=tuple(rows))
-
-
-_MC_COLUMNS = (
-    "m",
-    "n",
-    "bias",
-    "bias_se",
-    "var",
-    "var_se",
-    "mse",
-    "theory_bias",
-    "theory_var",
-    "theory_mse",
-)
-
-
-def write_mc_csv(result: McResult, fh: io.TextIOBase) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(_MC_COLUMNS)
-    for row in result.rows:
-        writer.writerow(
-            [row.m, row.n]
-            + [repr(float(getattr(row, name))) for name in _MC_COLUMNS[2:]]
-        )
 
 
 def band_summary(result: McResult, width: float = 3.0) -> tuple[bool, list[str]]:

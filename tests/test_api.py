@@ -5,6 +5,7 @@ to this file; the README lists retired names and their replacements.
 """
 
 import argparse
+import importlib
 
 import bernstein_simplex
 from bernstein_simplex.cli import _build_parser
@@ -41,7 +42,15 @@ PUBLIC = {
     "SimplexPoint", "lattice_array", "lattice_size", "lattice_window", "log_multinomial_pmf", "multinomial_pmf",
 }
 
-RETIRED = {"LatticeIndex", "PmfTable", "lattice_points", "pmf_table"}
+#: retired name -> the module that used to define it
+RETIRED = {
+    "LatticeIndex": "simplex",
+    "PmfTable": "simplex",
+    "lattice_points": "simplex",
+    "pmf_table": "simplex",
+    "write_mc_csv": "montecarlo",
+    "write_diagnostics_csv": "lattice_sums",
+}
 
 
 def test_public_names_are_pinned():
@@ -49,9 +58,16 @@ def test_public_names_are_pinned():
 
 
 def test_retired_names_are_gone():
-    for name in RETIRED:
+    for name, module in RETIRED.items():
         assert not hasattr(bernstein_simplex, name)
-        assert not hasattr(bernstein_simplex.simplex, name)
+        assert not hasattr(getattr(bernstein_simplex, module), name)
+
+
+def test_only_the_cli_writes_csv():
+    # estimators reads CSV input; every CSV line the package prints comes from the cli
+    modules = {name: importlib.import_module(f"bernstein_simplex.{name}") for name in SUBMODULES | {"cli"}}
+    assert {name for name, module in modules.items() if hasattr(module, "csv")} == {"cli", "estimators"}
+    assert {name for name, module in modules.items() if hasattr(module, "io")} == {"estimators"}
 
 
 CLI_OPTIONS = {

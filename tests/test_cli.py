@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from bernstein_simplex.cli import _colored, main
+from bernstein_simplex import (
+    BoundaryProfile,
+    Experiment,
+    min_coupling_diagnostics,
+    pmf_square_diagnostics,
+    run_experiment,
+)
+from bernstein_simplex.cli import _build_parser, _colored, main
 
 
 @pytest.fixture()
@@ -188,6 +195,7 @@ class TestTheory:
 
 
 THEORY_OK = {"model": {"name": "uniform", "d": 1}, "profile": {"d": 1, "interior": {"1": 0.5}}, "m": 20, "n": 1000}
+THEORY_D2_PROFILE = {"d": 2, "interior": {"1": 0.3, "2": 0.3}}
 VERIFY_OK = {
     "model": {"name": "uniform", "d": 1},
     "profile": {"d": 1, "boundary": {"1": 1.0}},
@@ -219,10 +227,19 @@ class TestMalformedConfig:
             ("verify", dict(VERIFY_OK, m_grid="12"), "'m_grid'"),
             ("verify", dict(VERIFY_OK, n_grid="100"), "'n_grid'"),
             ("theory", dict(THEORY_OK, model={"name": "uniform", "d": "two"}), "'d'"),
+            ("verify", dict(VERIFY_OK, m_grid={"12": 1}), "'m_grid'"),
+            ("verify", dict(VERIFY_OK, m_grid=[12.7]), "'m_grid'"),
+            ("verify", dict(VERIFY_OK, n_grid=[100.9]), "'n_grid'"),
+            ("verify", dict(VERIFY_OK, replicates=5.5), "'replicates'"),
+            ("verify", dict(VERIFY_OK, seed=1.9), "'seed'"),
+            ("theory", dict(THEORY_OK, model={"name": "uniform", "d": 2.5}, profile=THEORY_D2_PROFILE), "'d'"),
+            ("theory", dict(THEORY_OK, profile={"d": 1.5, "interior": {"1": 0.5}}), "'d'"),
         ],
         ids=["sums-no-d", "sums-bad-lambda", "sums-array", "theory-no-d", "theory-bad-m", "verify-bad-grid",
              "verify-array", "theory-model-string", "verify-model-string", "theory-alpha-string",
-             "theory-alpha-non-number", "verify-m-grid-string", "verify-n-grid-string", "theory-uniform-d-string"],
+             "theory-alpha-non-number", "verify-m-grid-string", "verify-n-grid-string", "theory-uniform-d-string",
+             "verify-m-grid-object", "verify-m-grid-fraction", "verify-n-grid-fraction", "verify-replicates-fraction", "verify-seed-fraction",
+             "theory-uniform-d-fraction", "theory-profile-d-fraction"],
     )
     def test_exits_with_error_line(self, tmp_path, capsys, command, payload, named):
         path = tmp_path / "config.json"
@@ -231,6 +248,38 @@ class TestMalformedConfig:
         code, out, err = run_cli([command, *flags], capsys)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and named in err
+
+
+class TestUnreadableFiles:
+    """A named file that cannot be opened or decoded exits 1 with an ``error:`` line naming the flag and path."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        good = tmp_path / "good.csv"
+        good.write_text("0.1\n0.5\n")
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes("x\xe9\n0.1\n".encode("latin-1"))
+        config = tmp_path / "latin1.json"
+        config.write_bytes('{"m": "\xe9"}'.encode("latin-1"))
+        return {"good": str(good), "missing": str(tmp_path / "missing.csv"), "dir": str(tmp_path),
+                "latin1": str(latin1), "config": str(config)}
+
+    @pytest.mark.parametrize(
+        "argv,flag,bad",
+        [
+            (["estimate", "--data", "{missing}", "--m", "5", "--kind", "cdf", "--points", "{good}"], "--data", "missing"),
+            (["estimate", "--data", "{good}", "--m", "5", "--kind", "cdf", "--points", "{dir}"], "--points", "dir"),
+            (["estimate", "--data", "{latin1}", "--m", "5", "--kind", "cdf", "--points", "{good}"], "--data", "latin1"),
+            (["theory", "--config", "{dir}"], "--config", "dir"),
+            (["theory", "--config", "{config}"], "--config", "config"),
+        ],
+        ids=["data-missing", "points-directory", "data-not-utf8", "config-directory", "config-not-utf8"],
+    )
+    def test_exits_with_error_line(self, files, capsys, argv, flag, bad):
+        code, out, err = run_cli([arg.format(**files) for arg in argv], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag}: ") and files[bad] in err
+        assert len(err.splitlines()) == 1
 
 
 class TestVerify:
@@ -274,6 +323,30 @@ class TestVerify:
         _, out1, _ = run_cli(["verify", "--config", str(config)], capsys)
         _, out2, _ = run_cli(["--threads", "4", "verify", "--config", str(config)], capsys)
         assert out1 == out2
+
+    def test_csv_columns_and_round_trip(self, tmp_path, capsys):
+        spec = {
+            "model": {"name": "uniform", "d": 1},
+            "profile": {"d": 1, "boundary": {"1": 1.0}},
+            "kind": "density",
+            "m_grid": [100],
+            "n_grid": [5000],
+            "replicates": 100,
+            "seed": 2024,
+        }
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(spec))
+        code, out, _ = run_cli(["verify", "--config", str(config)], capsys)
+        assert code == 0
+        result = run_experiment(Experiment.from_dict(spec))
+        lines = out.strip().splitlines()
+        assert lines[0] == "m,n,bias,bias_se,var,var_se,mse,theory_bias,theory_var,theory_mse"
+        assert len(lines) == 2
+        fields = lines[1].split(",")
+        row = result.rows[0]
+        assert int(fields[0]) == row.m and int(fields[1]) == row.n
+        for value, name in zip(fields[2:], lines[0].split(",")[2:]):
+            assert float(value) == getattr(row, name)
 
 
 class TestStrictFloatCells:
@@ -335,6 +408,33 @@ class TestSums:
         )
         assert code == 1 and "--m-grid" in err
 
+    @pytest.mark.parametrize("grid", ["10,12.5", "10,nan", "inf"])
+    def test_non_integer_grid(self, tmp_path, capsys, grid):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"d": 1, "interior": {"1": 0.5}}))
+        code, out, err = run_cli(["sums", "--profile", str(profile), "--m-grid", grid], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--m-grid" in err
+
+    def test_csv_round_trip(self, tmp_path, capsys):
+        spec = {"d": 1, "boundary": {"1": 1.0}}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = run_cli(["sums", "--profile", str(path), "--m-grid", "50,100"], capsys)
+        assert code == 0
+        profile = BoundaryProfile.from_dict(spec)
+        rows = pmf_square_diagnostics(profile, (50, 100)) + min_coupling_diagnostics(profile, 1, (50, 100))
+        lines = out.strip().splitlines()
+        assert lines[0] == "quantity,m,scaled_exact,prediction,rel_gap"
+        assert len(lines) == 1 + len(rows)
+        for line, row in zip(lines[1:], rows):
+            fields = line.split(",")
+            assert fields[0] == row.quantity
+            assert int(fields[1]) == row.m
+            assert float(fields[2]) == row.scaled_exact
+            assert float(fields[3]) == row.prediction
+            assert float(fields[4]) == row.rel_gap
+
 
 class TestMoments:
     def test_hand_example(self, capsys):
@@ -394,3 +494,81 @@ class TestPlumbing:
         )
         assert result.returncode == 0
         assert result.stdout.startswith("analytic,bruteforce")
+
+
+def _golden_argv(case, tmp_path):
+    """The argument list of a golden case, with its JSON payload written to a file when it has one."""
+    argv, payload = case
+    if payload is None:
+        return list(argv)
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(payload))
+    return [*argv, str(path)]
+
+
+GOLDEN_VERIFY = {
+    "model": {"name": "dirichlet", "alpha": [1, 2]},
+    "profile": {"d": 1, "boundary": {"1": 1.0}},
+    "kind": "cdf",
+    "m_grid": [10, 20],
+    "n_grid": [200],
+    "replicates": 8,
+    "seed": 7,
+}
+
+GOLDEN_CASES = {
+    "theory-density": (["theory", "--config"], {
+        "model": {"name": "dirichlet", "alpha": [2, 2, 2]},
+        "profile": {"d": 2, "boundary": {"1": 1.0}, "interior": {"2": 0.3}},
+        "m": 50, "n": 100000,
+    }),
+    "theory-shoulder": (["theory", "--config"], {
+        "model": {"name": "dirichlet", "alpha": [3, 3]},
+        "profile": {"d": 1, "boundary": {"1": 0.5}},
+        "shoulder": True, "m": 40, "n": 10000,
+    }),
+    "theory-cdf": (["theory", "--config"], {
+        "model": {"name": "dirichlet", "alpha": [1, 2]},
+        "profile": {"d": 1, "boundary": {"1": 1.0}},
+        "estimator": "cdf", "m": 100, "n": 10000,
+    }),
+    "sums-d1": (["sums", "--m-grid", "20,40", "--profile"], {"d": 1, "boundary": {"1": 1.0}}),
+    "sums-d2": (["sums", "--m-grid", "20,40", "--profile"], {"d": 2, "boundary": {"1": 1.0}, "interior": {"2": 0.3}}),
+    "moments-order2": (["moments", "--d", "2", "--m", "3", "--x", "0.2,0.3", "--indices", "1,2"], None),
+    "moments-order3": (["moments", "--d", "3", "--m", "5", "--x", "0.2,0.3,0.1", "--indices", "1,2,2"], None),
+    "moments-order4": (["moments", "--d", "2", "--m", "6", "--x", "0.2,0.3", "--indices", "1,1,2,2"], None),
+    "verify-threads1": (["--threads", "1", "verify", "--config"], GOLDEN_VERIFY),
+    "verify-threads2": (["--threads", "2", "verify", "--config"], GOLDEN_VERIFY),
+}
+
+
+class TestStdoutGolden:
+    """Every subcommand's stdout, pinned byte for byte on fixed inputs.
+
+    This class comes last in the module, so its calls reuse the parser that
+    the calls above have already built in this process.
+    """
+
+    DIGESTS = {
+        "theory-density": "38621b45a66097ee5f27c1aa8c58eb3d191f1c07478618e8edb11196dd82f360",
+        "theory-shoulder": "a1f40d8050790af8ae3c1b089b6fcb103b669dd8a6b9c8e41783f6853708d968",
+        "theory-cdf": "18abf0561e4ee91300b35eda17c08d2b6b58173e358f7659b59700fc34b0d547",
+        "sums-d1": "f9f03708951a77ef9b7be073abce52f55ac2bd220c045f00a371044c6ec62dea",
+        "sums-d2": "c0ee1028da9970f44c0d2fdc2723cbe061b84f5ccc322c64d9a92a26744e62fa",
+        "moments-order2": "74bb763e6e9f5b17c2f3b8be811fa484fc320e92ff1aeec3012745ca4b4fc09c",
+        "moments-order3": "70045af3c5e38fe10c2dfd152622f40a885d1538eb633c2c0dce7f20ca691642",
+        "moments-order4": "e7091d26c279c91bfab406090d2a2ccebef74b031af2df91531df79099d2afea",
+        "verify-threads1": "05190f514a45a62f2288d7efb9b69bd5bcc7bbcc4b318b6b2dd77618ce0e69e7",
+        "verify-threads2": "05190f514a45a62f2288d7efb9b69bd5bcc7bbcc4b318b6b2dd77618ce0e69e7",
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN_CASES))
+    def test_stdout_digest(self, tmp_path, capsys, name):
+        code, out, _ = run_cli(_golden_argv(GOLDEN_CASES[name], tmp_path), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[name]
+
+    def test_parser_is_built_once(self, capsys):
+        parser = _build_parser()
+        assert run_cli(["moments", "--d", "1", "--m", "2", "--x", "0.5", "--indices", "1,1"], capsys)[0] == 0
+        assert _build_parser() is parser

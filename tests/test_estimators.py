@@ -287,6 +287,12 @@ class TestHistogram:
             cells = [tuple(k) for k in hist.cells.tolist()]
             assert cells == sorted(set(cells))
 
+    def test_non_integer_order_is_refused(self):
+        data = Dataset.from_points([[0.3], [0.6]])
+        with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
+            histogram_counts(data, 2.5)
+        assert histogram_counts(data, 4.0).cells.tolist() == histogram_counts(data, np.int64(4)).cells.tolist()
+
 
 class TestGridCap:
     """Dense count grids are checked on their own cell count, not the lattice's."""
@@ -405,6 +411,11 @@ class TestCdfMany:
             bernstein_cdf_many(data, 0, self.POINTS)
         with pytest.raises(ValidationError):
             bernstein_cdf_many(data, 5, [(0.2, 0.2), (0.3,)])
+
+    def test_non_integer_order_is_refused(self):
+        data = Dataset.from_points(self.lattice_valued_data())
+        with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
+            bernstein_cdf_many(data, 2.5, self.POINTS)
 
 
 class TestUnivariateCrossCheck:

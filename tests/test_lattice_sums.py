@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from bernstein_simplex import (
     poisson_within_one_probability,
     sum_pmf_power,
 )
-from bernstein_simplex.lattice_sums import write_diagnostics_csv
 
 from conftest import binom_pmf_exact
 
@@ -47,6 +45,13 @@ class TestPowerSums:
     def test_power_validation(self):
         with pytest.raises(ValidationError):
             sum_pmf_power(5, 0.5, 4)
+
+    def test_non_integer_order_is_refused(self):
+        with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
+            sum_pmf_power(2.5, 0.5, 2)
+        with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
+            min_coupling_sum(2.5, 0.5)
+        assert sum_pmf_power(3.0, 0.5, 2) == sum_pmf_power(3, 0.5, 2)
 
     @pytest.mark.parametrize("m,x", [(9, 0.3), (11, (0.2, 0.3)), (8, (0.1, 0.2, 0.5))])
     def test_cube_below_square_below_one(self, m, x):
@@ -188,17 +193,3 @@ class TestDiagnostics:
         m, n = 400.0, 1e5
         scaled = density_variance_leading(model, prof, m, n) * n / m ** ((prof.d + prof.j_size) / 2)
         assert scaled == pytest.approx(model.density(prof.slice_point()) * pmf_square_sum_limit(prof), rel=1e-15)
-
-    def test_csv_round_trip(self):
-        rows = pmf_square_diagnostics(PROFILES["d1-boundary"], (50, 100))
-        buffer = io.StringIO()
-        write_diagnostics_csv(rows, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "quantity,m,scaled_exact,prediction,rel_gap"
-        for line, row in zip(lines[1:], rows):
-            fields = line.split(",")
-            assert fields[0] == row.quantity
-            assert int(fields[1]) == row.m
-            assert float(fields[2]) == row.scaled_exact
-            assert float(fields[3]) == row.prediction
-            assert float(fields[4]) == row.rel_gap

@@ -26,6 +26,13 @@ class TestQueries:
         with pytest.raises(ValidationError):
             MomentQuery(m=3, x=SimplexPoint.of(0.5), indices=(1,) * 5)
 
+    def test_non_integer_order_is_refused(self):
+        with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
+            MomentQuery(m=2.5, x=SimplexPoint.of(0.5), indices=(1, 1))
+        with pytest.raises(ValidationError, match="moment index must be an integer, got 1.5"):
+            MomentQuery(m=3, x=SimplexPoint.of(0.5), indices=(1, 1.5))
+        assert MomentQuery(m=3.0, x=SimplexPoint.of(0.5), indices=(1, 1)).m == 3
+
     def test_index_range(self):
         with pytest.raises(ValidationError):
             MomentQuery(m=3, x=SimplexPoint.of((0.2, 0.3)), indices=(1, 3))

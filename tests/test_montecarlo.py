@@ -11,9 +11,7 @@ from bernstein_simplex import (
     run_experiment,
     sample,
 )
-from bernstein_simplex.montecarlo import build_model, write_mc_csv
-
-import io
+from bernstein_simplex.montecarlo import build_model
 
 
 class TestSampling:
@@ -123,18 +121,6 @@ class TestExperiments:
         ok, lines = band_summary(result)
         assert ok, lines
         assert "PASS" in lines[0]
-
-    def test_csv_columns_and_round_trip(self):
-        result = run_experiment(self.make_experiment())
-        buffer = io.StringIO()
-        write_mc_csv(result, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "m,n,bias,bias_se,var,var_se,mse,theory_bias,theory_var,theory_mse"
-        fields = lines[1].split(",")
-        row = result.rows[0]
-        assert int(fields[0]) == row.m and int(fields[1]) == row.n
-        for value, name in zip(fields[2:], lines[0].split(",")[2:]):
-            assert float(value) == getattr(row, name)
 
 
 class TestRateFit:
