@@ -557,7 +557,6 @@ def _check_model(model: DensityModel, profile: BoundaryProfile) -> None:
 
 
 def _check_mn(m: float, n: float) -> None:
-    if m <= 0:
-        raise ValidationError(f"bandwidth must be positive, got {m}")
-    if n <= 0:
-        raise ValidationError(f"sample size must be positive, got {n}")
+    for what, value in (("bandwidth 'm'", m), ("sample size 'n'", n)):
+        if not math.isfinite(value) or value <= 0:
+            raise ValidationError(f"{what} must be finite and positive, got {value}")

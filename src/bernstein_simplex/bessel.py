@@ -36,9 +36,10 @@ class BesselValue:
 def _check_arguments(nu: int, z: float, tol: float) -> None:
     if nu not in (0, 1):
         raise ValidationError(f"order must be 0 or 1, got {nu}")
-    if z < 0:
+    # written so that NaN fails them too
+    if not z >= 0:
         raise ValidationError(f"argument must be >= 0, got {z}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
 
 
@@ -161,7 +162,7 @@ def poisson_equal_probability(lam: float) -> float:
     coordinate that sits a fixed number of lattice steps from the boundary.
     Equals 1 exactly at lam = 0 and decays like (4 pi lam)^(-1/2).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
     return bessel_i_scaled(0, 2.0 * lam).value
 
@@ -171,7 +172,7 @@ def poisson_within_one_probability(lam: float) -> float:
 
     Equals exp(-2 lam)(I_0(2 lam) + I_1(2 lam)); tends to 1 as lam -> 0.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
     z = 2.0 * lam
     if z < ASYMPTOTIC_FROM:

@@ -147,16 +147,16 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     for key in ("model", "profile", "m", "n"):
         if key not in cfg:
             raise ValidationError(f"theory config is missing {key!r}")
-    params = model_spec(cfg["model"])
-    model = build_model(str(params.pop("name", "")), params)
+    model = build_model(*model_spec(cfg["model"]))
     profile = BoundaryProfile.from_dict(cfg["profile"])
     estimator = cfg.get("estimator", "density")
+    m, n = cfg["m"], cfg["n"]
     try:
-        m, n = float(cfg["m"]), float(cfg["n"])
+        if isinstance(m, bool) or isinstance(n, bool):
+            raise TypeError("a bool is neither a bandwidth nor a sample size")
+        m, n = float(m), float(n)
     except (TypeError, ValueError):
-        raise ValidationError(
-            f"theory config: 'm' and 'n' must be numbers, got {cfg['m']!r} and {cfg['n']!r}"
-        ) from None
+        raise ValidationError(f"theory config: 'm' and 'n' must be numbers, got {m!r} and {n!r}") from None
     if estimator == "density":
         if cfg.get("shoulder", False):
             report = density_mse_shoulder(model, profile, m, n)

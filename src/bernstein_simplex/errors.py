@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule for integer inputs."""
+"""Exception types shared across the package, and its one rule each for integer inputs and orders."""
 
 import numbers
 
@@ -34,3 +34,11 @@ def _as_int(value: object, what: str) -> int:
     elif isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer():
         return int(value)
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_order(m: object, least: int) -> int:
+    """The order ``m`` as an int of at least ``least``, by :func:`_as_int`, or a :class:`ValidationError`."""
+    m = _as_int(m, "order m")
+    if m < least:
+        raise ValidationError(f"order m must be >= {least}, got {m}")
+    return m

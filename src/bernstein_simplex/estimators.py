@@ -17,39 +17,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_int
-from .simplex import COORD_TOLERANCE, SimplexPoint, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
+from .errors import ValidationError, _as_order
+from .simplex import SimplexPoint, _validated_points, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
-
-
-def _validated_points(arr: np.ndarray, tol: float, lines: Sequence[int] | None = None) -> np.ndarray:
-    """``arr`` checked, clipped and rescaled onto the simplex; errors name a row by ``lines[index]``, else 1-based."""
-    if arr.ndim != 2:
-        raise ValidationError("data must be a 2-d array of shape (n, d)")
-    n, d = arr.shape
-    if n < 1 or d < 1:
-        raise ValidationError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
-    name = (lambda row: row + 1) if lines is None else lines.__getitem__
-    if not np.all(np.isfinite(arr)):
-        row = int(np.argwhere(~np.isfinite(arr))[0, 0])
-        raise ValidationError(f"row {name(row)}: non-finite value")
-    if np.any(arr < -tol):
-        row = int(np.argwhere(arr < -tol)[0, 0])
-        raise ValidationError(f"row {name(row)}: negative coordinate beyond tolerance")
-    arr = np.clip(arr, 0.0, None)
-    sums = arr.sum(axis=1)
-    if np.any(sums > 1.0 + tol):
-        row = int(np.argmax(sums > 1.0 + tol))
-        raise ValidationError(f"row {name(row)}: coordinate sum {float(sums[row])!r} > 1 beyond tolerance")
-    over = sums > 1.0
-    if np.any(over):
-        arr = arr.copy()
-        arr[over] /= sums[over, None]
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def _csv_floats(record: list[str]) -> list[float] | None:
@@ -124,7 +96,7 @@ class Dataset:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", _validated_points(np.asarray(self.points, dtype=float), COORD_TOLERANCE))
+        object.__setattr__(self, "points", _validated_points(np.asarray(self.points, dtype=float)))
 
     @classmethod
     def from_points(cls, rows: Sequence[Sequence[float]] | np.ndarray) -> "Dataset":
@@ -161,11 +133,17 @@ class Dataset:
         return self.points.shape[1]
 
 
+def _point_of_dimension(x: "SimplexPoint | float | Sequence[float]", d: int, what: str) -> SimplexPoint:
+    """``SimplexPoint.of(x)``, checked to have the dimension ``d`` of the ``what`` it is evaluated on."""
+    x = SimplexPoint.of(x)
+    if x.d != d:
+        raise ValidationError(f"point dimension {x.d} does not match {what} dimension {d}")
+    return x
+
+
 def empirical_cdf(data: Dataset, x: "SimplexPoint | float | Sequence[float]") -> float:
     """Fraction of observations dominated by ``x`` in every coordinate (closed corner)."""
-    x = SimplexPoint.of(x)
-    if x.d != data.d:
-        raise ValidationError(f"point dimension {x.d} does not match data dimension {data.d}")
+    x = _point_of_dimension(x, data.d, "data")
     return float(np.all(data.points <= x.array, axis=1).mean())
 
 
@@ -209,13 +187,8 @@ def bernstein_cdf_many(
     grid is, at ``k``, the number of observations with ``x <= k/m`` in
     every coordinate.
     """
-    m = _as_int(m, "order m")
-    if m < 1:
-        raise ValidationError(f"order m must be >= 1, got {m}")
-    xs = [SimplexPoint.of(x) for x in points]
-    for x in xs:
-        if x.d != data.d:
-            raise ValidationError(f"point dimension {x.d} does not match data dimension {data.d}")
+    m = _as_order(m, 1)
+    xs = [_point_of_dimension(x, data.d, "data") for x in points]
     below = _grid_counts(_upper_grid_index(data.points, m), m + 1)
     for axis in range(data.d):
         np.cumsum(below, axis=axis, out=below)
@@ -263,9 +236,7 @@ def histogram_counts(data: Dataset, m: int) -> HistogramCounts:
     The cube of ``x`` is one below its upper grid index, so ``x = k/m``
     falls in the cube ``((k-1)/m, k/m]``, and 0 in the lowest cube.
     """
-    m = _as_int(m, "order m")
-    if m < 1:
-        raise ValidationError(f"order m must be >= 1, got {m}")
+    m = _as_order(m, 1)
     cells = _upper_grid_index(data.points, m)
     cells -= 1
     np.maximum(cells, 0, out=cells)
@@ -289,9 +260,7 @@ def density_from_counts(
     counts: HistogramCounts, n: int, x: "SimplexPoint | float | Sequence[float]"
 ) -> float:
     """Evaluate the density estimator from precomputed cube counts."""
-    x = SimplexPoint.of(x)
-    if x.d != counts.d:
-        raise ValidationError(f"point dimension {x.d} does not match histogram dimension {counts.d}")
+    x = _point_of_dimension(x, counts.d, "histogram")
     check_lattice_size(counts.m - 1, counts.d)
     logp = log_multinomial_pmf(counts.cells, counts.m - 1, x)
     return float(counts.m ** counts.d * np.dot(counts.counts / n, np.exp(logp)))

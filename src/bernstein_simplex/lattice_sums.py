@@ -17,7 +17,7 @@ import numpy as np
 
 from .asymptotics import BoundaryProfile, _boundary_factor
 from .bessel import poisson_within_one_probability
-from .errors import ValidationError, _as_int
+from .errors import ValidationError, _as_order
 from .simplex import SimplexPoint, lattice_array, log_multinomial_pmf
 
 
@@ -25,9 +25,7 @@ def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: in
     """Sum of the order-(m-1) multinomial weights raised to ``power`` (2 or 3)."""
     if power not in (2, 3):
         raise ValidationError(f"power must be 2 or 3, got {power}")
-    m = _as_int(m, "order m")
-    if m < 1:
-        raise ValidationError(f"order m must be >= 1, got {m}")
+    m = _as_order(m, 1)
     x = SimplexPoint.of(x)
     karr = lattice_array(m - 1, x.d)
     logp = log_multinomial_pmf(karr, m - 1, x)
@@ -65,9 +63,7 @@ def min_coupling_sum(m: int, x_p: float) -> float:
     is computed in O(m) through the survival-function identity
     ``E[min(K, L)] = sum_t P(K >= t)^2`` and is always <= 0.
     """
-    m = _as_int(m, "order m")
-    if m < 1:
-        raise ValidationError(f"order m must be >= 1, got {m}")
+    m = _as_order(m, 1)
     if not 0.0 < x_p < 1.0:
         raise ValidationError(f"x_p must lie strictly in (0, 1), got {x_p}")
     pmf = np.exp(log_multinomial_pmf(lattice_array(m, 1), m, SimplexPoint.of([x_p])))

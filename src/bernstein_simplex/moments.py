@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_int
+from .errors import ValidationError, _as_int, _as_order
 from .simplex import SimplexPoint, lattice_array, log_multinomial_pmf
 
 
@@ -27,14 +27,12 @@ class MomentQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", SimplexPoint.of(self.x))
-        object.__setattr__(self, "m", _as_int(self.m, "order m"))
+        object.__setattr__(self, "m", _as_order(self.m, 0))
         indices = tuple(_as_int(i, "a moment index") for i in self.indices)
         if not 2 <= len(indices) <= 4:
             raise ValidationError(f"moment order must be 2..4, got {len(indices)}")
         if any(i < 1 or i > self.x.d for i in indices):
             raise ValidationError(f"indices {indices} out of range 1..{self.x.d}")
-        if self.m < 0:
-            raise ValidationError(f"m must be >= 0, got {self.m}")
         object.__setattr__(self, "indices", indices)
 
 

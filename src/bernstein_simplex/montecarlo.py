@@ -79,6 +79,14 @@ def _theory(model: DensityModel, profile: BoundaryProfile, m: int, n: int, kind:
     return bias, var
 
 
+def _check_design(kind: str, replicates: int) -> None:
+    """The estimator kind and replicate count of a Monte Carlo run, or a :class:`ValidationError`."""
+    if kind not in ("density", "cdf"):
+        raise ValidationError(f"kind must be 'density' or 'cdf', got {kind!r}")
+    if replicates < 2:
+        raise ValidationError(f"need at least 2 replicates, got {replicates}")
+
+
 def mc_bias_variance(
     model: DensityModel,
     profile_or_point: "BoundaryProfile | SimplexPoint | float | Sequence[float]",
@@ -96,10 +104,7 @@ def mc_bias_variance(
     from the replicate dispersion (the variance one uses the usual
     fourth-moment formula).
     """
-    if kind not in ("density", "cdf"):
-        raise ValidationError(f"kind must be 'density' or 'cdf', got {kind!r}")
-    if replicates < 2:
-        raise ValidationError(f"need at least 2 replicates, got {replicates}")
+    _check_design(kind, replicates)
     profile = as_profile(profile_or_point)
     x = profile.realized_point(m)
     if kind == "density":
@@ -153,11 +158,13 @@ def mc_bias_variance(
 # experiments
 # ---------------------------------------------------------------------------
 
-def model_spec(value: object) -> dict:
-    """A config's ``model`` entry as a new dict; it must be a JSON object."""
+def model_spec(value: object) -> tuple[str, dict]:
+    """A config's ``model`` entry, a JSON object, as its ``name`` and a new dict of the other fields."""
     if not isinstance(value, Mapping):
         raise ValidationError(f"config field 'model' must be an object, got {value!r}")
-    return dict(value)
+    if "name" not in value:
+        raise ValidationError("config field 'model' is missing 'name'")
+    return str(value["name"]), {key: v for key, v in value.items() if key != "name"}
 
 
 def build_model(name: str, params: Mapping[str, object]) -> DensityModel:
@@ -190,8 +197,6 @@ class Experiment:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("density", "cdf"):
-            raise ValidationError(f"kind must be 'density' or 'cdf', got {self.kind!r}")
         for key in ("m_grid", "n_grid"):
             value = getattr(self, key)
             if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
@@ -199,8 +204,7 @@ class Experiment:
             object.__setattr__(self, key, tuple(_as_int(v, f"each value of experiment field {key!r}") for v in value))
         for key in ("replicates", "seed"):
             object.__setattr__(self, key, _as_int(getattr(self, key), f"experiment field {key!r}"))
-        if self.replicates < 2:
-            raise ValidationError(f"need at least 2 replicates, got {self.replicates}")
+        _check_design(self.kind, self.replicates)
         if not self.m_grid or not self.n_grid:
             raise ValidationError("m_grid and n_grid must be non-empty")
         if any(v < 1 for v in self.m_grid + self.n_grid):
@@ -210,9 +214,9 @@ class Experiment:
     @classmethod
     def from_dict(cls, spec: Mapping[str, object]) -> "Experiment":
         try:
-            params = model_spec(spec["model"])
+            name, params = model_spec(spec["model"])
             return cls(
-                model_name=str(params.pop("name")),
+                model_name=name,
                 model_params=params,
                 profile=BoundaryProfile.from_dict(spec["profile"]),
                 kind=str(spec["kind"]),

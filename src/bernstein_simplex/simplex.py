@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError, _as_int, _as_order
 
 #: Tolerance used when validating simplex membership of a single point.
 COORD_TOLERANCE = 1e-12
@@ -23,44 +23,63 @@ COORD_TOLERANCE = 1e-12
 MAX_LATTICE_SIZE = 10**8
 
 
+def _validated_points(
+    arr: np.ndarray, tol: float = COORD_TOLERANCE, lines: Sequence[int] | None = None, label: str = ""
+) -> np.ndarray:
+    """``arr`` checked, clipped and rescaled onto the simplex: the one rule for points and data rows.
+
+    Errors name a row by ``label`` if one is given, else by ``lines[index]``, else 1-based.
+    """
+    if arr.ndim != 2:
+        raise ValidationError("data must be a 2-d array of shape (n, d)")
+    n, d = arr.shape
+    if n < 1 or d < 1:
+        raise ValidationError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
+    name = lambda row: label or f"row {row + 1 if lines is None else lines[row]}"  # noqa: E731
+    # numpy sums a row in an order that depends on the memory layout; one layout, one result
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        row = int(np.argwhere(~np.isfinite(arr))[0, 0])
+        raise ValidationError(f"{name(row)}: non-finite value")
+    if (arr < -tol).any():
+        row = int(np.argwhere(arr < -tol)[0, 0])
+        raise ValidationError(f"{name(row)}: negative coordinate beyond tolerance")
+    arr = np.maximum(arr, 0.0)  # a new array, so the rescaling below leaves the caller's alone
+    sums = arr.sum(axis=1)
+    if (sums > 1.0 + tol).any():
+        row = int(np.argmax(sums > 1.0 + tol))
+        raise ValidationError(f"{name(row)}: coordinate sum {float(sums[row])!r} > 1 beyond tolerance")
+    over = sums > 1.0
+    if over.any():
+        arr[over] /= sums[over, None]
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """A validated point of the unit simplex.
 
     Coordinates must be nonnegative and sum to at most one; violations up
     to ``COORD_TOLERANCE`` are clamped, larger ones raise
-    :class:`ValidationError`.
+    :class:`ValidationError`; a one-row dataset passes the same rule.
     """
 
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
-        if len(coords) == 0:
-            raise ValidationError("a simplex point needs at least one coordinate")
-        if any(not math.isfinite(c) for c in coords):
-            raise ValidationError(f"non-finite coordinate in {coords}")
-        if any(c < -COORD_TOLERANCE for c in coords):
-            raise ValidationError(f"negative coordinate in {coords}")
-        coords = tuple(max(c, 0.0) for c in coords)
-        total = sum(coords)
-        if total > 1.0 + COORD_TOLERANCE:
-            raise ValidationError(
-                f"coordinates sum to {total!r} > 1 (beyond tolerance {COORD_TOLERANCE})"
-            )
-        if total > 1.0:
-            coords = tuple(c / total for c in coords)
-        object.__setattr__(self, "coords", coords)
+        arr = np.asarray(self.coords, dtype=float)
+        if arr.ndim != 1 or len(arr) == 0:
+            raise ValidationError("a simplex point needs a one-dimensional sequence of at least one coordinate")
+        row = _validated_points(arr[None, :], label=f"simplex point {tuple(arr.tolist())}")
+        object.__setattr__(self, "coords", tuple(row[0].tolist()))
 
     @classmethod
     def of(cls, value: "SimplexPoint | float | Sequence[float]") -> "SimplexPoint":
         """Coerce a scalar, sequence or SimplexPoint into a SimplexPoint."""
         if isinstance(value, SimplexPoint):
             return value
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-        if arr.ndim != 1:
-            raise ValidationError("a simplex point must be one-dimensional")
-        return cls(tuple(arr))
+        return cls(np.atleast_1d(np.asarray(value, dtype=float)))
 
     @property
     def d(self) -> int:
@@ -85,15 +104,19 @@ def lattice_size(m: int, d: int) -> int:
     return math.comb(m + d, d)
 
 
-def check_lattice_size(m: int, d: int) -> None:
-    if m < 0 or d < 1:
-        raise ValidationError(f"need m >= 0 and d >= 1, got m={m}, d={d}")
+def check_lattice_size(m: int, d: int) -> tuple[int, int]:
+    """``(m, d)`` as ints, or an error if either is invalid or the lattice exceeds the cap."""
+    m = _as_order(m, 0)
+    d = _as_int(d, "dimension d")
+    if d < 1:
+        raise ValidationError(f"dimension d must be >= 1, got {d}")
     size = lattice_size(m, d)
     if size > MAX_LATTICE_SIZE:
         raise SizeLimitError(
             f"lattice for (m={m}, d={d}) has {size} points, "
             f"exceeding the cap of {MAX_LATTICE_SIZE}"
         )
+    return m, d
 
 
 def check_grid_size(shape: Sequence[int]) -> None:
@@ -113,7 +136,7 @@ def lattice_array(m: int, d: int) -> np.ndarray:
     at a time: each row of the shorter lattice is repeated once for every
     value ``0..m - sum(row)`` the new coordinate can take.
     """
-    check_lattice_size(m, d)
+    m, d = check_lattice_size(m, d)
     out = np.arange(m + 1, dtype=np.int64)[:, None]
     for width in range(2, d + 1):
         room = m + 1 - out.sum(axis=1)
@@ -164,7 +187,7 @@ def log_multinomial_pmf(karr: np.ndarray, m: int, x: SimplexPoint) -> np.ndarray
     """
     karr = np.asarray(karr, dtype=np.int64)
     if karr.ndim != 2 or karr.shape[1] != x.d:
-        raise ValidationError("index array and point dimensions do not match")
+        raise ValidationError(f"index array of shape {karr.shape} needs {x.d} columns, one per coordinate")
     ksum = karr.sum(axis=1)
     if np.any(karr < 0) or np.any(ksum > m):
         raise ValidationError("lattice indices must be >= 0 with sum <= m")
@@ -212,8 +235,7 @@ def lattice_window(m: int, x: "SimplexPoint | float | Sequence[float]", tol: flo
     ``1 - exp(log_multinomial_pmf(rows, m, x)).sum()``, below ``tol``.
     """
     x = SimplexPoint.of(x)
-    if m < 0:
-        raise ValidationError(f"need m >= 0, got m={m}")
+    m = _as_order(m, 0)
     if not 0.0 < tol < 1.0:
         raise ValidationError(f"truncation tolerance must be in (0, 1), got {tol}")
     w = _truncation_halfwidth(m, x.d, tol)

@@ -6,6 +6,7 @@ to this file; the README lists retired names and their replacements.
 
 import argparse
 import importlib
+import pathlib
 
 import bernstein_simplex
 from bernstein_simplex.cli import _build_parser
@@ -68,6 +69,23 @@ def test_only_the_cli_writes_csv():
     modules = {name: importlib.import_module(f"bernstein_simplex.{name}") for name in SUBMODULES | {"cli"}}
     assert {name for name, module in modules.items() if hasattr(module, "csv")} == {"cli", "estimators"}
     assert {name for name, module in modules.items() if hasattr(module, "io")} == {"estimators"}
+
+
+#: the message of each shared precondition -> the one module whose function raises it
+ONE_RULE = {
+    "beyond tolerance": "simplex",
+    "order m must be >= ": "errors",
+    "point dimension": "estimators",
+    "need at least 2 replicates": "montecarlo",
+}
+
+
+def test_each_precondition_has_one_rule():
+    # a copy of a check would carry its message into a second module
+    package = pathlib.Path(bernstein_simplex.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    for text, module in ONE_RULE.items():
+        assert sorted(name for name, source in sources.items() if text in source) == [module], text
 
 
 CLI_OPTIONS = {

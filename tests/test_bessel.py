@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bernstein_simplex
 from bernstein_simplex import (
     ValidationError,
     bessel_i,
@@ -100,6 +104,22 @@ class TestWholeDomain:
         for nu, oracle in ((0, scipy_special.i0e), (1, scipy_special.i1e)):
             want = float(oracle(z)) * math.exp(z / 2) * math.exp(z / 2)
             assert bessel_i(nu, z).value == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "call",
+        ["bessel_i(0, nan)", "bessel_i_scaled(1, nan)", "poisson_equal_probability(nan)",
+         "poisson_within_one_probability(nan)", "min_coupling_factor(nan)", "bessel_i(0, 1.0, tol=nan)"],
+    )
+    def test_nan_is_refused(self, call):
+        # in a child process, so that a call that never returns fails this test instead of stalling the suite
+        script = f"from math import nan\nfrom bernstein_simplex import *\ntry:\n    {call}\nexcept ValidationError as e:\n    print(e)"
+        src = os.path.dirname(os.path.dirname(bernstein_simplex.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10, env=env)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{call} did not return within 10 s")
+        assert result.returncode == 0 and "nan" in result.stdout, result.stderr
 
     def test_overflow_raises(self):
         for nu in (0, 1):

@@ -234,12 +234,19 @@ class TestMalformedConfig:
             ("verify", dict(VERIFY_OK, seed=1.9), "'seed'"),
             ("theory", dict(THEORY_OK, model={"name": "uniform", "d": 2.5}, profile=THEORY_D2_PROFILE), "'d'"),
             ("theory", dict(THEORY_OK, profile={"d": 1.5, "interior": {"1": 0.5}}), "'d'"),
+            ("theory", dict(THEORY_OK, m=float("nan")), "'m'"),
+            ("theory", dict(THEORY_OK, m=float("inf")), "'m'"),
+            ("theory", dict(THEORY_OK, n=float("nan")), "'n'"),
+            ("theory", dict(THEORY_OK, m=True), "'m'"),
+            ("theory", dict(THEORY_OK, model={"d": 1}), "'name'"),
+            ("verify", dict(VERIFY_OK, model={"d": 1}), "'name'"),
         ],
         ids=["sums-no-d", "sums-bad-lambda", "sums-array", "theory-no-d", "theory-bad-m", "verify-bad-grid",
              "verify-array", "theory-model-string", "verify-model-string", "theory-alpha-string",
              "theory-alpha-non-number", "verify-m-grid-string", "verify-n-grid-string", "theory-uniform-d-string",
              "verify-m-grid-object", "verify-m-grid-fraction", "verify-n-grid-fraction", "verify-replicates-fraction", "verify-seed-fraction",
-             "theory-uniform-d-fraction", "theory-profile-d-fraction"],
+             "theory-uniform-d-fraction", "theory-profile-d-fraction", "theory-m-nan", "theory-m-infinity",
+             "theory-n-nan", "theory-m-bool", "theory-model-no-name", "verify-model-no-name"],
     )
     def test_exits_with_error_line(self, tmp_path, capsys, command, payload, named):
         path = tmp_path / "config.json"

@@ -5,10 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bernstein_simplex import (
+    Dataset,
     SimplexPoint,
     SizeLimitError,
     ValidationError,
@@ -22,6 +23,22 @@ from bernstein_simplex import simplex
 from bernstein_simplex.simplex import log_factorials
 
 from conftest import binom_pmf_exact, iter_lattice
+
+
+def _scaled_to(raw: list[float], total: float) -> list[float]:
+    """``raw`` rescaled to sum to ``total`` up to rounding; all zeros stay as they are."""
+    norm = math.fsum(raw)
+    return [v / norm * total for v in raw] if norm > 0.0 else raw
+
+
+ULP = 2.0**-52
+
+#: Rows of d = 1..16 whose sums lie within a few ulps of 1, with a few beyond the tolerance.
+NEAR_ONE_ROWS = st.builds(
+    _scaled_to,
+    st.integers(1, 16).flatmap(lambda d: st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)),
+    st.sampled_from([1.0 - ULP / 2, 1.0, 1.0 + ULP, 1.0 + 2 * ULP, 1.0 + 4 * ULP, 1.0 + 1e-13, 1.0 + 1e-11, 1.1]),
+)
 
 
 class TestSimplexPoint:
@@ -57,11 +74,46 @@ class TestSimplexPoint:
         assert all(c >= 0.0 for c in pt.coords)
         assert sum(pt.coords) <= 1.0
 
+    def test_errors_name_the_point(self):
+        with pytest.raises(ValidationError, match=r"^simplex point \(0\.6, 0\.5\): coordinate sum 1\.1 > 1 beyond tolerance$"):
+            SimplexPoint.of((0.6, 0.5))
+        with pytest.raises(ValidationError, match=r"^simplex point \(nan,\): non-finite value$"):
+            SimplexPoint.of(math.nan)
+
+    @example([0.3711284294739885, 0.21263286433802728, 0.15622328204622224, 0.01891508040967378,
+              0.05284941877613476, 0.07058180171037419, 0.062225224797458845, 0.0554438984481211])
+    @given(NEAR_ONE_ROWS)
+    def test_a_point_and_a_one_row_dataset_pass_one_rule(self, row):
+        # from d = 8 on, a Python sum and a numpy row sum can round differently
+        def coords(make):
+            try:
+                return [float(c).hex() for c in make()]
+            except ValidationError:
+                return None
+
+        assert coords(lambda: SimplexPoint.of(row).coords) == coords(lambda: Dataset(np.array([row])).points[0])
+
+    def test_memory_layout_does_not_change_a_row(self):
+        rows = np.random.default_rng(5).random((500, 9))
+        rows /= rows.sum(axis=1)[:, None]
+        assert Dataset(np.asfortranarray(rows)).points.tobytes() == Dataset(rows).points.tobytes()
+
 
 class TestLattice:
     @pytest.mark.parametrize("m,d,count", [(3, 2, 10), (0, 3, 1), (4, 3, 35)])
     def test_counts(self, m, d, count):
         assert len(lattice_array(m, d)) == count
+
+    def test_non_integer_order_is_refused(self):
+        with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
+            lattice_array(2.5, 1)
+        with pytest.raises(ValidationError, match="order m must be an integer, got True"):
+            lattice_array(True, 1)
+        with pytest.raises(ValidationError, match="dimension d must be an integer, got 1.5"):
+            lattice_array(3, 1.5)
+        with pytest.raises(ValidationError, match="order m must be >= 0, got -1"):
+            lattice_array(-1, 1)
+        assert lattice_array(3.0, np.int64(2)).tolist() == lattice_array(3, 2).tolist()
 
     def test_zero_order_single_point(self):
         assert lattice_array(0, 3).tolist() == [[0, 0, 0]]
@@ -246,3 +298,8 @@ class TestLatticeWindow:
     def test_bad_order_or_tolerance(self, m, tol):
         with pytest.raises(ValidationError):
             lattice_window(m, 0.5, tol)
+
+    def test_non_integer_order_is_refused(self):
+        with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
+            lattice_window(2.5, [0.3], 0.01)
+        assert lattice_window(40.0, [0.3], 0.01).tolist() == lattice_window(40, [0.3], 0.01).tolist()
