@@ -138,7 +138,7 @@ def psi(x: "SimplexPoint | float | Sequence[float]", subset: Iterable[int]) -> f
     indices); the empty subset gives exactly 1.
     """
     pt = SimplexPoint.of(x)
-    subset = sorted(set(int(i) for i in subset))
+    subset = sorted(set(_as_int(i, "each psi subset index") for i in subset))
     if not subset:
         return 1.0
     if subset[0] < 1 or subset[-1] > pt.d:

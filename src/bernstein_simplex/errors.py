@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule each for integer inputs and orders."""
+"""Exception types shared across the package, and its one rule each for integer inputs, orders, sample sizes and seeds."""
 
 import numbers
 
@@ -42,3 +42,19 @@ def _as_order(m: object, least: int) -> int:
     if m < least:
         raise ValidationError(f"order m must be >= {least}, got {m}")
     return m
+
+
+def _as_sample_size(n: object) -> int:
+    """The sample size ``n`` as an int of at least 1, by :func:`_as_int`, or a :class:`ValidationError`."""
+    n = _as_int(n, "sample size n")
+    if n < 1:
+        raise ValidationError(f"sample size must be >= 1, got {n}")
+    return n
+
+
+def _as_seed(seed: object) -> int:
+    """A random seed as a non-negative int, by :func:`_as_int`, or a :class:`ValidationError` naming 'seed'."""
+    seed = _as_int(seed, "'seed'")
+    if seed < 0:
+        raise ValidationError(f"'seed' must be a non-negative integer, got {seed}")
+    return seed

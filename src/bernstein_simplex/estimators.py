@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_order
+from .errors import ValidationError, _as_order, _as_sample_size
 from .simplex import SimplexPoint, _validated_points, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
 
 #: Row-level tolerance for CSV ingestion.
@@ -259,7 +259,8 @@ def bernstein_density(data: Dataset, m: int, x: "SimplexPoint | float | Sequence
 def density_from_counts(
     counts: HistogramCounts, n: int, x: "SimplexPoint | float | Sequence[float]"
 ) -> float:
-    """Evaluate the density estimator from precomputed cube counts."""
+    """Evaluate the density estimator from precomputed cube counts of a sample of size ``n``."""
+    n = _as_sample_size(n)
     x = _point_of_dimension(x, counts.d, "histogram")
     check_lattice_size(counts.m - 1, counts.d)
     logp = log_multinomial_pmf(counts.cells, counts.m - 1, x)

@@ -142,13 +142,7 @@ def min_coupling_diagnostics(
     pred = _min_coupling_constant(profile, p)
     rows = []
     for m in m_grid:
-        x_real = profile.realized_point(m)[p - 1]
-        if not 0.0 < x_real < 1.0:
-            raise ValidationError(
-                f"coordinate {p} realizes to {x_real} at m={m}; the min-coupling sum "
-                "needs a value strictly inside (0, 1)"
-            )
-        exact = min_coupling_sum(m, x_real)
+        exact = min_coupling_sum(m, profile.realized_point(m)[p - 1])
         scaled = _min_coupling_scale(m, profile, p) * exact
         rows.append(_diagnostic(f"min_coupling_x{p}", int(m), exact, scaled, pred))
     return rows

@@ -113,8 +113,8 @@ def dirichlet_model(alpha: Sequence[float]) -> DensityModel:
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) < 2:
         raise ValidationError("alpha must have length d + 1 >= 2")
-    if any(a <= 0 for a in alpha):
-        raise ValidationError(f"all Dirichlet parameters must be positive, got {alpha}")
+    if not all(0.0 < a < math.inf for a in alpha):  # NaN fails both comparisons
+        raise ValidationError(f"Dirichlet parameters 'alpha' must be finite and positive, got {alpha}")
     d = len(alpha) - 1
     const = math.exp(math.lgamma(sum(alpha)) - sum(math.lgamma(a) for a in alpha))
     f_terms: list[_Term] = [(const, tuple(a - 1.0 for a in alpha[:d]), alpha[d] - 1.0)]

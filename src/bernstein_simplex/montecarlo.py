@@ -13,7 +13,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .asymptotics import (
     density_bias_boundary,
     density_variance_leading,
 )
-from .errors import ValidationError, _as_int
+from .errors import ValidationError, _as_int, _as_order, _as_sample_size, _as_seed
 from .estimators import Dataset, bernstein_cdf, bernstein_density
 from .models import DensityModel, dirichlet_model, uniform_model
 from .simplex import SimplexPoint
@@ -39,18 +39,8 @@ def sample(model: DensityModel, n: int, seed: "int | np.random.Generator") -> Da
     """Draw ``n`` independent observations from the model, deterministically per seed."""
     if model.sampler is None:
         raise ValidationError(f"model {model.name!r} is not sampleable")
-    if n < 1:
-        raise ValidationError(f"sample size must be >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return Dataset(model.sampler(rng, n))
-
-
-def as_profile(
-    profile_or_point: "BoundaryProfile | SimplexPoint | float | Sequence[float]",
-) -> BoundaryProfile:
-    if isinstance(profile_or_point, BoundaryProfile):
-        return profile_or_point
-    return BoundaryProfile.interior_point(profile_or_point)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_as_seed(seed))
+    return Dataset(model.sampler(rng, _as_sample_size(n)))
 
 
 @dataclass(frozen=True)
@@ -69,22 +59,73 @@ class McRow:
     theory_mse: float
 
 
-def _theory(model: DensityModel, profile: BoundaryProfile, m: int, n: int, kind: str) -> tuple[float, float]:
-    if kind == "density":
-        bias = density_bias_boundary(model, profile, m).value
-        var = density_variance_leading(model, profile, m, n)
-    else:
-        bias = cdf_bias_boundary(model, profile, m).value
-        var = cdf_variance_boundary(model, profile, m, n).value
-    return bias, var
-
-
-def _check_design(kind: str, replicates: int) -> None:
-    """The estimator kind and replicate count of a Monte Carlo run, or a :class:`ValidationError`."""
+def _check_design(kind: str, m: object, n: object, replicates: object, seed: object) -> tuple[int, int, int, int]:
+    """A Monte Carlo cell's order, sample size, replicate count and seed as ints, or a :class:`ValidationError`."""
     if kind not in ("density", "cdf"):
         raise ValidationError(f"kind must be 'density' or 'cdf', got {kind!r}")
+    replicates = _as_int(replicates, "'replicates'")
     if replicates < 2:
         raise ValidationError(f"need at least 2 replicates, got {replicates}")
+    return _as_order(m, 1), _as_sample_size(n), replicates, _as_seed(seed)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """Everything a (m, n) cell needs before its first replicate; only its statistics come after."""
+
+    m: int
+    n: int
+    point: SimplexPoint
+    truth: float
+    estimator: Callable[[Dataset, int, SimplexPoint], float]
+    theory_bias: float
+    theory_var: float
+
+
+def _setup(model: DensityModel, profile: BoundaryProfile, m: int, n: int, kind: str) -> _Cell:
+    """The cell's realized point, true value, estimator and theory terms: the one branch on ``kind``."""
+    x = profile.realized_point(m)
+    if kind == "density":
+        bias, var = density_bias_boundary(model, profile, m).value, density_variance_leading(model, profile, m, n)
+        truth, estimator = float(model.density(x)), bernstein_density
+    else:  # the cdf theory checks that the model has a cdf
+        bias, var = cdf_bias_boundary(model, profile, m).value, cdf_variance_boundary(model, profile, m, n).value
+        truth, estimator = float(model.cdf(x)), bernstein_cdf
+    return _Cell(m, n, SimplexPoint.of(x), truth, estimator, bias, var)
+
+
+def _run(model: DensityModel, cell: _Cell, replicates: int, seed: int, threads: int) -> McRow:
+    """The cell's replicates, then their statistics."""
+    values = np.empty(replicates)
+
+    def run_one(r: int) -> None:
+        values[r] = cell.estimator(sample(model, cell.n, replicate_rng(seed, r)), cell.m, cell.point)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_one, range(replicates)))
+    else:
+        for r in range(replicates):
+            run_one(r)
+
+    mean = float(values.mean())
+    bias = mean - cell.truth
+    var = float(values.var(ddof=1))
+    centered = values - mean
+    m4 = float(np.mean(centered**4))
+    var_of_var = (m4 - var**2 * (replicates - 3) / (replicates - 1)) / replicates
+    return McRow(
+        m=cell.m,
+        n=cell.n,
+        bias=bias,
+        bias_se=math.sqrt(var / replicates),
+        var=var,
+        var_se=math.sqrt(max(var_of_var, 0.0)),
+        mse=bias**2 + var,
+        theory_bias=cell.theory_bias,
+        theory_var=cell.theory_var,
+        theory_mse=cell.theory_var + cell.theory_bias**2,
+    )
 
 
 def mc_bias_variance(
@@ -102,56 +143,13 @@ def mc_bias_variance(
     The evaluation point is realized from the profile at bandwidth ``m``;
     the reported mse is exactly ``bias**2 + var``.  Standard errors come
     from the replicate dispersion (the variance one uses the usual
-    fourth-moment formula).
+    fourth-moment formula).  The design, the point and the theory are
+    checked before the first replicate runs.
     """
-    _check_design(kind, replicates)
-    profile = as_profile(profile_or_point)
-    x = profile.realized_point(m)
-    if kind == "density":
-        truth = float(model.density(x))
-
-        def estimate(data: Dataset) -> float:
-            return bernstein_density(data, m, x)
-
-    else:
-        model.require_cdf()
-        truth = float(model.cdf(x))
-
-        def estimate(data: Dataset) -> float:
-            return bernstein_cdf(data, m, x)
-
-    values = np.empty(replicates)
-
-    def run_one(r: int) -> None:
-        data = sample(model, n, replicate_rng(seed, r))
-        values[r] = estimate(data)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(replicates)))
-    else:
-        for r in range(replicates):
-            run_one(r)
-
-    mean = float(values.mean())
-    bias = mean - truth
-    var = float(values.var(ddof=1))
-    centered = values - mean
-    m4 = float(np.mean(centered**4))
-    var_of_var = (m4 - var**2 * (replicates - 3) / (replicates - 1)) / replicates
-    theory_bias, theory_var = _theory(model, profile, m, n, kind)
-    return McRow(
-        m=int(m),
-        n=int(n),
-        bias=bias,
-        bias_se=math.sqrt(var / replicates),
-        var=var,
-        var_se=math.sqrt(max(var_of_var, 0.0)),
-        mse=bias**2 + var,
-        theory_bias=theory_bias,
-        theory_var=theory_var,
-        theory_mse=theory_var + theory_bias**2,
-    )
+    m, n, replicates, seed = _check_design(kind, m, n, replicates, seed)
+    if not isinstance(profile_or_point, BoundaryProfile):
+        profile_or_point = BoundaryProfile.interior_point(profile_or_point)
+    return _run(model, _setup(model, profile_or_point, m, n, kind), replicates, seed, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ def build_model(name: str, params: Mapping[str, object]) -> DensityModel:
         if "alpha" not in params:
             raise ValidationError("dirichlet model config needs an 'alpha' list")
         alpha = params["alpha"]
-        if not isinstance(alpha, (list, tuple)) or not all(isinstance(a, (int, float)) for a in alpha):
+        if not isinstance(alpha, (list, tuple)) or any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in alpha):
             raise ValidationError(f"model field 'alpha' must be a list of numbers, got {alpha!r}")
         return dirichlet_model([float(a) for a in alpha])
     if name == "uniform":
@@ -202,13 +200,12 @@ class Experiment:
             if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
                 raise ValidationError(f"experiment field {key!r} must be a list of integers, got {value!r}")
             object.__setattr__(self, key, tuple(_as_int(v, f"each value of experiment field {key!r}") for v in value))
-        for key in ("replicates", "seed"):
-            object.__setattr__(self, key, _as_int(getattr(self, key), f"experiment field {key!r}"))
-        _check_design(self.kind, self.replicates)
         if not self.m_grid or not self.n_grid:
             raise ValidationError("m_grid and n_grid must be non-empty")
-        if any(v < 1 for v in self.m_grid + self.n_grid):
-            raise ValidationError("all grid values must be >= 1")
+        # the smallest cell fails the design check if any cell does
+        design = _check_design(self.kind, min(self.m_grid), min(self.n_grid), self.replicates, self.seed)
+        for key, value in zip(("replicates", "seed"), design[2:]):
+            object.__setattr__(self, key, value)
         object.__setattr__(self, "model_params", dict(self.model_params))
 
     @classmethod
@@ -243,24 +240,15 @@ def run_experiment(experiment: Experiment, threads: int = 1) -> McResult:
 
     Each cell derives its own master seed from the experiment seed and the
     cell index, so enlarging the grid never changes existing cells.
+    Every cell is set up before the first replicate of the first one, so
+    a cell that cannot be evaluated fails before any sampling.
     """
     model = experiment.build_model()
-    rows = []
-    for idx, (m, n) in enumerate(itertools.product(experiment.m_grid, experiment.n_grid)):
-        cell_seed = int(np.random.SeedSequence(entropy=(experiment.seed, idx)).generate_state(1)[0])
-        rows.append(
-            mc_bias_variance(
-                model,
-                experiment.profile,
-                m=m,
-                n=n,
-                replicates=experiment.replicates,
-                seed=cell_seed,
-                kind=experiment.kind,
-                threads=threads,
-            )
-        )
-    return McResult(experiment=experiment, rows=tuple(rows))
+    grid = itertools.product(experiment.m_grid, experiment.n_grid)
+    cells = [_setup(model, experiment.profile, m, n, experiment.kind) for m, n in grid]
+    seeds = [int(np.random.SeedSequence(entropy=(experiment.seed, idx)).generate_state(1)[0]) for idx in range(len(cells))]
+    rows = tuple(_run(model, cell, experiment.replicates, seed, threads) for cell, seed in zip(cells, seeds))
+    return McResult(experiment=experiment, rows=rows)
 
 
 def band_summary(result: McResult, width: float = 3.0) -> tuple[bool, list[str]]:
@@ -297,8 +285,8 @@ def rate_fit(points: Sequence[tuple[float, float]]) -> RateFit:
         raise ValidationError(f"need at least 3 points to fit a rate, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
-    if np.any(ns <= 0) or np.any(ys <= 0):
-        raise ValidationError("rate fitting needs strictly positive inputs")
+    if not np.all((0 < ns) & (ns < np.inf) & (0 < ys) & (ys < np.inf)):
+        raise ValidationError("rate fitting needs finite, strictly positive inputs")
     lx, ly = np.log(ns), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     residuals = ly - (slope * lx + intercept)

@@ -77,6 +77,9 @@ ONE_RULE = {
     "order m must be >= ": "errors",
     "point dimension": "estimators",
     "need at least 2 replicates": "montecarlo",
+    "sample size must be >= ": "errors",
+    "must be a non-negative integer": "errors",
+    "Dirichlet parameters": "models",
 }
 
 

@@ -140,6 +140,11 @@ class TestPsi:
         with pytest.raises(ValidationError):
             psi((0.5,), [2])
 
+    def test_fractional_index_is_refused(self):
+        # not truncated to coordinate 1
+        with pytest.raises(ValidationError, match="subset index"):
+            psi((0.3, 0.3), [1.7])
+
 
 class TestDensityBias:
     def test_uniform_vanishes(self, uni2):

@@ -240,13 +240,18 @@ class TestMalformedConfig:
             ("theory", dict(THEORY_OK, m=True), "'m'"),
             ("theory", dict(THEORY_OK, model={"d": 1}), "'name'"),
             ("verify", dict(VERIFY_OK, model={"d": 1}), "'name'"),
+            ("verify", dict(VERIFY_OK, seed=-1), "'seed'"),
+            ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [float("nan"), 2]}), "'alpha'"),
+            ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [float("inf"), 2]}), "'alpha'"),
+            ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [True, 2]}), "'alpha'"),
         ],
         ids=["sums-no-d", "sums-bad-lambda", "sums-array", "theory-no-d", "theory-bad-m", "verify-bad-grid",
              "verify-array", "theory-model-string", "verify-model-string", "theory-alpha-string",
              "theory-alpha-non-number", "verify-m-grid-string", "verify-n-grid-string", "theory-uniform-d-string",
              "verify-m-grid-object", "verify-m-grid-fraction", "verify-n-grid-fraction", "verify-replicates-fraction", "verify-seed-fraction",
              "theory-uniform-d-fraction", "theory-profile-d-fraction", "theory-m-nan", "theory-m-infinity",
-             "theory-n-nan", "theory-m-bool", "theory-model-no-name", "verify-model-no-name"],
+             "theory-n-nan", "theory-m-bool", "theory-model-no-name", "verify-model-no-name", "verify-seed-negative",
+             "theory-alpha-nan", "theory-alpha-infinity", "theory-alpha-bool"],
     )
     def test_exits_with_error_line(self, tmp_path, capsys, command, payload, named):
         path = tmp_path / "config.json"

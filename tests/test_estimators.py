@@ -360,6 +360,12 @@ class TestBernsteinDensity:
         for x in (0.1, 0.5, 0.9):
             assert density_from_counts(counts, data.n, x) == bernstein_density(data, 15, x)
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    def test_counts_need_a_sample_size(self, beta22, n):
+        counts = histogram_counts(sample(beta22, 50, seed=6), 10)
+        with pytest.raises(ValidationError, match="sample size"):
+            density_from_counts(counts, n, 0.5)
+
     def test_integrates_to_one_1d(self, beta22):
         data = sample(beta22, 2000, seed=7)
         counts = histogram_counts(data, 25)

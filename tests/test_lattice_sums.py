@@ -168,6 +168,11 @@ class TestDiagnostics:
         )
         assert rows[1].rel_gap < rows[0].rel_gap
 
+    def test_coordinate_realized_at_one_is_refused(self):
+        # lambda = m puts the coordinate at 1, outside the open interval the coupling sum needs
+        with pytest.raises(ValidationError, match="strictly in"):
+            min_coupling_diagnostics(BoundaryProfile(d=1, boundary={1: 10.0}), 1, (10,))
+
     def test_interior_scaling_uses_sqrt_m(self):
         prof = PROFILES["d1-interior"]
         rows = min_coupling_diagnostics(prof, 1, (64,))

@@ -50,6 +50,11 @@ class TestDirichletGeneral:
         with pytest.raises(ValidationError):
             dirichlet_model((2.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, bad):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            dirichlet_model((bad, 2.0))
+
     @pytest.mark.parametrize("alpha", [(2, 2), (3, 3), (1, 2), (2, 3, 4), (1, 1, 1), (3, 2, 2, 3)])
     def test_derivatives_match_finite_differences(self, alpha):
         model = dirichlet_model(alpha)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from bernstein_simplex import (
     run_experiment,
     sample,
 )
+from bernstein_simplex import montecarlo
+from bernstein_simplex.cli import main
 from bernstein_simplex.montecarlo import build_model
 
 
@@ -41,6 +45,12 @@ class TestSampling:
         )
         with pytest.raises(ValidationError):
             sample(bare, 10, seed=0)
+
+    def test_seed_and_size_rules(self, dir222):
+        with pytest.raises(ValidationError, match="'seed' must be a non-negative integer"):
+            sample(dir222, 10, -1)
+        with pytest.raises(ValidationError, match="sample size n must be an integer"):
+            sample(dir222, 2.5, 1)
 
 
 class TestMcBiasVariance:
@@ -80,6 +90,58 @@ class TestMcBiasVariance:
             mc_bias_variance(beta22, 0.3, m=10, n=100, replicates=1, seed=0, kind="density")
         with pytest.raises(ValidationError):
             mc_bias_variance(beta22, 0.3, m=10, n=100, replicates=5, seed=0, kind="mode")
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("seed", -5, "'seed' must be a non-negative integer"), ("replicates", 2.5, "'replicates' must be an integer"),
+         ("m", 2.5, "order m must be an integer"), ("n", 2.5, "sample size n must be an integer")],
+    )
+    def test_design_is_checked_before_sampling(self, beta22, monkeypatch, field, value, message):
+        calls = _count_samples(monkeypatch)
+        kwargs = dict(dict(m=10, n=100, replicates=5, seed=0), **{field: value})
+        with pytest.raises(ValidationError, match=message):
+            mc_bias_variance(beta22, 0.3, **kwargs)
+        assert calls == []
+
+
+def _count_samples(monkeypatch) -> list:
+    """The sample sizes of every ``montecarlo.sample`` call from now on."""
+    calls = []
+    draw = montecarlo.sample
+
+    def counting(model, n, seed):
+        calls.append(n)
+        return draw(model, n, seed)
+
+    monkeypatch.setattr(montecarlo, "sample", counting)
+    return calls
+
+
+class TestSetupBeforeSampling:
+    """A cell whose point or theory cannot be evaluated fails before its first replicate."""
+
+    def test_verify_cell_without_theory(self, tmp_path, capsys, monkeypatch):
+        # Beta(1.5, 2): the boundary bias needs a derivative with a negative power at 0
+        config = {
+            "model": {"name": "dirichlet", "alpha": [1.5, 2]}, "profile": {"d": 1, "boundary": {"1": 1.0}},
+            "kind": "density", "m_grid": [40], "n_grid": [1000], "replicates": 5, "seed": 3,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        calls = _count_samples(monkeypatch)
+        assert main(["verify", "--config", str(path)]) == 1
+        assert "negative power at the boundary" in capsys.readouterr().err
+        assert calls == []
+
+    def test_grid_is_settled_before_the_first_cell(self, monkeypatch):
+        experiment = Experiment(
+            model_name="uniform", model_params={"d": 1}, profile=BoundaryProfile(d=1, boundary={1: 5.0}),
+            kind="density", m_grid=(400, 4), n_grid=(1000,), replicates=5, seed=1,
+        )
+        calls = _count_samples(monkeypatch)
+        with pytest.raises(ValidationError, match="m=4 too small to realize the profile"):
+            run_experiment(experiment)
+        assert calls == []
 
 
 class TestExperiments:
@@ -136,3 +198,8 @@ class TestRateFit:
             rate_fit([(10.0, 1.0), (100.0, 0.1)])
         with pytest.raises(ValidationError):
             rate_fit([(10.0, 1.0), (100.0, 0.1), (1000.0, -0.01)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_are_refused(self, bad):
+        with pytest.raises(ValidationError, match="finite, strictly positive"):
+            rate_fit([(1.0, 1.0), (2.0, bad), (3.0, 1.0)])
