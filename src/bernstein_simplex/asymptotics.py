@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bessel import min_coupling_factor, poisson_equal_probability
-from .errors import ValidationError, _as_int
+from .errors import ValidationError, _as_int, _check_mn
 from .models import DensityModel
 from .simplex import SimplexPoint
 
@@ -40,7 +40,7 @@ class BoundaryProfile:
     interior: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", _as_int(self.d, "profile field 'd'"))
+        object.__setattr__(self, "d", _as_int(self.d, "profile field 'd'", least=1))
         for key in ("boundary", "interior"):
             value = getattr(self, key)
             try:
@@ -48,8 +48,6 @@ class BoundaryProfile:
             except (TypeError, ValueError):
                 raise ValidationError(f"profile field {key!r} is malformed: {value!r}") from None
             object.__setattr__(self, key, converted)
-        if self.d < 1:
-            raise ValidationError(f"dimension must be >= 1, got {self.d}")
         keys = sorted(self.boundary) + sorted(self.interior)
         if sorted(keys) != list(range(1, self.d + 1)):
             raise ValidationError(
@@ -124,7 +122,7 @@ class BoundaryProfile:
 
     def realized_point(self, m: float) -> np.ndarray:
         """The evaluation point at bandwidth m: lambda_i / m on J, fixed elsewhere."""
-        _check_mn(m, 1.0)
+        _check_mn(m)
         x = self.slice_point() + self.lambda_vector() / m
         if np.any(x > 1.0) or x.sum() > 1.0:
             raise ValidationError(f"bandwidth m={m} too small to realize the profile")
@@ -138,11 +136,9 @@ def psi(x: "SimplexPoint | float | Sequence[float]", subset: Iterable[int]) -> f
     indices); the empty subset gives exactly 1.
     """
     pt = SimplexPoint.of(x)
-    subset = sorted(set(_as_int(i, "each psi subset index") for i in subset))
+    subset = sorted(set(_as_int(i, "each psi subset index", least=1, most=pt.d) for i in subset))
     if not subset:
         return 1.0
-    if subset[0] < 1 or subset[-1] > pt.d:
-        raise ValidationError(f"subset {subset} out of range 1..{pt.d}")
     values = [pt.coords[i - 1] for i in subset]
     inner = (4.0 * math.pi) ** len(subset) * (1.0 - sum(values))
     for v in values:
@@ -216,7 +212,7 @@ def density_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: floa
     coefficients of :func:`density_bias_terms`.
     """
     _check_model(model, profile)
-    _check_mn(m, 1.0)
+    _check_mn(m)
     if profile.j_size == 0:
         b1, b2 = density_bias_terms(model, profile.realized_point(m))
     else:
@@ -407,7 +403,7 @@ def cdf_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: float) -
     """
     _check_model(model, profile)
     model.require_cdf()
-    _check_mn(m, 1.0)
+    _check_mn(m)
     if profile.has_zero_lambda:
         return BiasExpansion(0.0, 0.0, float(m), 0.0, "exact (estimator vanishes a.s.)")
     xs = profile.slice_point()
@@ -554,9 +550,3 @@ def _check_model(model: DensityModel, profile: BoundaryProfile) -> None:
         raise ValidationError(
             f"model dimension {model.d} does not match profile dimension {profile.d}"
         )
-
-
-def _check_mn(m: float, n: float) -> None:
-    for what, value in (("bandwidth 'm'", m), ("sample size 'n'", n)):
-        if not math.isfinite(value) or value <= 0:
-            raise ValidationError(f"{what} must be finite and positive, got {value}")

@@ -28,11 +28,11 @@ import sys
 from typing import Iterable, Sequence
 
 from .asymptotics import BoundaryProfile, cdf_mse, density_mse, density_mse_shoulder
-from .errors import SizeLimitError, ValidationError, _as_int
+from .errors import SizeLimitError, ValidationError, _as_int, _check_mn
 from .estimators import Dataset, bernstein_cdf_many, density_from_counts, histogram_counts
 from .lattice_sums import min_coupling_diagnostics, pmf_square_diagnostics
 from .moments import MomentQuery, central_moment_analytic, central_moment_bruteforce
-from .montecarlo import Experiment, McRow, band_summary, build_model, model_spec, run_experiment
+from .montecarlo import Experiment, McRow, _check_kind, band_summary, build_model, model_spec, run_experiment
 from .simplex import SimplexPoint
 
 
@@ -130,8 +130,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         data = Dataset.from_csv(args.data)
     with _reading("--points", args.points):
         points = Dataset.from_csv(args.points, d=data.d)
-    if args.m < 1:
-        raise ValidationError("--m: bandwidth must be >= 1")
     if args.kind == "density":
         counts = histogram_counts(data, args.m)
         values = [density_from_counts(counts, data.n, row) for row in points.points]
@@ -150,22 +148,15 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     model = build_model(*model_spec(cfg["model"]))
     profile = BoundaryProfile.from_dict(cfg["profile"])
     estimator = cfg.get("estimator", "density")
-    m, n = cfg["m"], cfg["n"]
-    try:
-        if isinstance(m, bool) or isinstance(n, bool):
-            raise TypeError("a bool is neither a bandwidth nor a sample size")
-        m, n = float(m), float(n)
-    except (TypeError, ValueError):
-        raise ValidationError(f"theory config: 'm' and 'n' must be numbers, got {m!r} and {n!r}") from None
-    if estimator == "density":
-        if cfg.get("shoulder", False):
-            report = density_mse_shoulder(model, profile, m, n)
-        else:
-            report = density_mse(model, profile, m, n)
-    elif estimator == "cdf":
+    _check_kind(estimator, "config field 'estimator'")
+    _check_mn(cfg["m"], cfg["n"])
+    m, n = float(cfg["m"]), float(cfg["n"])
+    if estimator == "cdf":
         report = cdf_mse(model, profile, m, n)
+    elif cfg.get("shoulder", False):
+        report = density_mse_shoulder(model, profile, m, n)
     else:
-        raise ValidationError(f"estimator must be 'density' or 'cdf', got {estimator!r}")
+        report = density_mse(model, profile, m, n)
     print(report.to_json())
     return 0
 
@@ -217,8 +208,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
+        _as_int(args.threads, "--threads", least=1)
         return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

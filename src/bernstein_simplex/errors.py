@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one rule each for integer inputs, orders, sample sizes and seeds."""
+"""Exception types shared across the package, and its one rule each for integers in a range, orders, sample sizes, seeds and a real m and n."""
 
+import contextlib
 import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -17,23 +19,26 @@ class SizeLimitError(RuntimeError):
     """
 
 
-def _as_int(value: object, what: str) -> int:
-    """``value`` as an int, or a :class:`ValidationError` naming ``what``.
+def _as_int(value: object, what: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` as an int of at least ``least`` and at most ``most``, or a :class:`ValidationError` naming ``what``.
 
     Ints (numpy ints too), integral floats and strings that ``int()`` reads
     (as JSON object keys are) pass; bools, non-integral numbers and
-    everything else are refused rather than truncated.
+    everything else are refused rather than truncated.  ``most`` needs ``least``.
     """
+    result = None
     if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, bool):
-        pass  # an int to Python, but never an intended count or index
-    elif isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer():
-        return int(value)
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+        with contextlib.suppress(ValueError):
+            result = int(value)
+    elif not isinstance(value, bool):  # a bool is an int to Python, but never an intended count or index
+        if isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer():
+            result = int(value)
+    if result is None:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if least is not None and (result < least or most is not None and result > most):
+        bounds = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValidationError(f"{what} must be {bounds}, got {result}")
+    return result
 
 
 def _as_order(m: object, least: int) -> int:
@@ -58,3 +63,10 @@ def _as_seed(seed: object) -> int:
     if seed < 0:
         raise ValidationError(f"'seed' must be a non-negative integer, got {seed}")
     return seed
+
+
+def _check_mn(m: object, n: object = 1.0) -> None:
+    """Refuse a bandwidth ``m`` or sample size ``n`` that is not a positive real of float range; bools are refused."""
+    for what, value in (("bandwidth 'm'", m), ("sample size 'n'", n)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= sys.float_info.max:
+            raise ValidationError(f"{what} must be a finite positive number, got {value!r}")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_order, _as_sample_size
+from .errors import ValidationError, _as_int, _as_order, _as_sample_size
 from .simplex import SimplexPoint, _validated_points, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
 
 #: Row-level tolerance for CSV ingestion.
@@ -115,6 +115,7 @@ class Dataset:
         cannot settle is read again row by row, which is where every error
         message comes from.
         """
+        d = None if d is None else _as_int(d, "dimension d", least=1)
         if isinstance(source, str):
             with open(source, newline="", encoding="utf-8") as fh:
                 return cls.from_csv(fh, d=d)

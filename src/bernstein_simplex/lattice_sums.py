@@ -17,7 +17,7 @@ import numpy as np
 
 from .asymptotics import BoundaryProfile, _boundary_factor
 from .bessel import poisson_within_one_probability
-from .errors import ValidationError, _as_order
+from .errors import ValidationError, _as_int, _as_order, _check_mn
 from .simplex import SimplexPoint, lattice_array, log_multinomial_pmf
 
 
@@ -74,9 +74,7 @@ def min_coupling_sum(m: int, x_p: float) -> float:
 
 
 def _min_coupling_constant(profile: BoundaryProfile, p: int) -> float:
-    """Limit of the min-coupling sum of coordinate ``p`` times its m-scale (see :func:`min_coupling_limit`)."""
-    if not 1 <= p <= profile.d:
-        raise ValidationError(f"coordinate index {p} out of range 1..{profile.d}")
+    """Limit of the min-coupling sum of coordinate ``p`` (an int in 1..d) times its m-scale (see :func:`min_coupling_limit`)."""
     if p in profile.j_set:
         lam = profile.boundary[p]
         return -lam * poisson_within_one_probability(lam)
@@ -96,6 +94,8 @@ def min_coupling_limit(m: float, profile: BoundaryProfile, p: int) -> float:
     Poisson factors at ``lam``; fixed coordinates give the normal-range
     term ``-m^-1/2 sqrt(x(1-x)/pi)``.
     """
+    _check_mn(m)
+    p = _as_int(p, "coordinate index p", least=1, most=profile.d)
     return _min_coupling_constant(profile, p) / _min_coupling_scale(m, profile, p)
 
 
@@ -139,6 +139,7 @@ def min_coupling_diagnostics(
     profile: BoundaryProfile, p: int, m_grid: Sequence[int]
 ) -> list[SumDiagnostic]:
     """Scaled min-coupling sums for coordinate ``p`` against their limits."""
+    p = _as_int(p, "coordinate index p", least=1, most=profile.d)
     pred = _min_coupling_constant(profile, p)
     rows = []
     for m in m_grid:

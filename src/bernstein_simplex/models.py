@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _as_int
 
 Array = np.ndarray
 
@@ -116,7 +116,10 @@ def dirichlet_model(alpha: Sequence[float]) -> DensityModel:
     if not all(0.0 < a < math.inf for a in alpha):  # NaN fails both comparisons
         raise ValidationError(f"Dirichlet parameters 'alpha' must be finite and positive, got {alpha}")
     d = len(alpha) - 1
-    const = math.exp(math.lgamma(sum(alpha)) - sum(math.lgamma(a) for a in alpha))
+    try:  # the exp overflows for large parameters such as [1e6, 1e6], lgamma itself from about 1e305
+        const = math.exp(math.lgamma(sum(alpha)) - sum(math.lgamma(a) for a in alpha))
+    except OverflowError:
+        raise ValidationError(f"Dirichlet parameters 'alpha' overflow the normalising constant, got {alpha}") from None
     f_terms: list[_Term] = [(const, tuple(a - 1.0 for a in alpha[:d]), alpha[d] - 1.0)]
     grad_terms = [_diff_terms(f_terms, i) for i in range(d)]
     hess_terms = [[_diff_terms(grad_terms[i], j) for j in range(d)] for i in range(d)]
@@ -170,7 +173,7 @@ def dirichlet_model(alpha: Sequence[float]) -> DensityModel:
 
 def uniform_model(d: int) -> DensityModel:
     """The constant density d! on the d-dimensional simplex."""
-    return dirichlet_model((1.0,) * (d + 1))
+    return dirichlet_model((1.0,) * (_as_int(d, "dimension d", least=1) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,9 @@ class MomentQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", SimplexPoint.of(self.x))
         object.__setattr__(self, "m", _as_order(self.m, 0))
-        indices = tuple(_as_int(i, "a moment index") for i in self.indices)
+        indices = tuple(_as_int(i, "a moment index", least=1, most=self.x.d) for i in self.indices)
         if not 2 <= len(indices) <= 4:
             raise ValidationError(f"moment order must be 2..4, got {len(indices)}")
-        if any(i < 1 or i > self.x.d for i in indices):
-            raise ValidationError(f"indices {indices} out of range 1..{self.x.d}")
         object.__setattr__(self, "indices", indices)
 
 
@@ -84,8 +82,5 @@ def fourth_moment_scaling(
     if len(indices) != 4:
         raise ValidationError(f"need exactly 4 indices, got {len(indices)}")
     point = SimplexPoint.of(x)
-    out = []
-    for m in m_grid:
-        query = MomentQuery(m=m, x=point, indices=indices)
-        out.append(abs(central_moment_bruteforce(query)) / float(query.m) ** 2)
-    return out
+    orders = [_as_order(m, 1) for m in m_grid]  # m = 0 would divide by zero below
+    return [abs(central_moment_bruteforce(MomentQuery(m=m, x=point, indices=indices))) / float(m) ** 2 for m in orders]

@@ -59,10 +59,15 @@ class McRow:
     theory_mse: float
 
 
+def _check_kind(kind: object, what: str) -> None:
+    """Refuse an estimator kind other than 'density' and 'cdf', naming the field ``what`` that holds it."""
+    if kind not in ("density", "cdf"):
+        raise ValidationError(f"{what} must be 'density' or 'cdf', got {kind!r}")
+
+
 def _check_design(kind: str, m: object, n: object, replicates: object, seed: object) -> tuple[int, int, int, int]:
     """A Monte Carlo cell's order, sample size, replicate count and seed as ints, or a :class:`ValidationError`."""
-    if kind not in ("density", "cdf"):
-        raise ValidationError(f"kind must be 'density' or 'cdf', got {kind!r}")
+    _check_kind(kind, "'kind'")
     replicates = _as_int(replicates, "'replicates'")
     if replicates < 2:
         raise ValidationError(f"need at least 2 replicates, got {replicates}")
@@ -147,6 +152,7 @@ def mc_bias_variance(
     checked before the first replicate runs.
     """
     m, n, replicates, seed = _check_design(kind, m, n, replicates, seed)
+    threads = _as_int(threads, "'threads'", least=1)
     if not isinstance(profile_or_point, BoundaryProfile):
         profile_or_point = BoundaryProfile.interior_point(profile_or_point)
     return _run(model, _setup(model, profile_or_point, m, n, kind), replicates, seed, threads)
@@ -243,6 +249,7 @@ def run_experiment(experiment: Experiment, threads: int = 1) -> McResult:
     Every cell is set up before the first replicate of the first one, so
     a cell that cannot be evaluated fails before any sampling.
     """
+    threads = _as_int(threads, "'threads'", least=1)
     model = experiment.build_model()
     grid = itertools.product(experiment.m_grid, experiment.n_grid)
     cells = [_setup(model, experiment.profile, m, n, experiment.kind) for m, n in grid]

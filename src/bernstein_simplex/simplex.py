@@ -107,9 +107,7 @@ def lattice_size(m: int, d: int) -> int:
 def check_lattice_size(m: int, d: int) -> tuple[int, int]:
     """``(m, d)`` as ints, or an error if either is invalid or the lattice exceeds the cap."""
     m = _as_order(m, 0)
-    d = _as_int(d, "dimension d")
-    if d < 1:
-        raise ValidationError(f"dimension d must be >= 1, got {d}")
+    d = _as_int(d, "dimension d", least=1)
     size = lattice_size(m, d)
     if size > MAX_LATTICE_SIZE:
         raise SizeLimitError(

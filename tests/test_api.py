@@ -80,6 +80,9 @@ ONE_RULE = {
     "sample size must be >= ": "errors",
     "must be a non-negative integer": "errors",
     "Dirichlet parameters": "models",
+    "must be {bounds}, got ": "errors",  # integers in a range: dimension, 1-based index, worker threads
+    "must be 'density' or 'cdf'": "montecarlo",
+    "must be a finite positive number": "errors",
 }
 
 
@@ -89,6 +92,13 @@ def test_each_precondition_has_one_rule():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
     for text, module in ONE_RULE.items():
         assert sorted(name for name, source in sources.items() if text in source) == [module], text
+
+
+def test_the_cli_checks_only_its_own_input():
+    # argparse, --m-grid and --x values, two file-read errors, invalid JSON, a config that is not an object,
+    # a missing theory key, an empty --m-grid and a --x of the wrong length; every rule on a value is the library's
+    source = (pathlib.Path(bernstein_simplex.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert source.count("raise ValidationError(") == 9
 
 
 CLI_OPTIONS = {

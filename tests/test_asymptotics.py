@@ -503,3 +503,20 @@ class TestExpansionReport:
         var = density_variance_leading(beta22, prof, 40, 1e6)
         b1 = density_bias_boundary(beta22, prof, 40).bracket_m1
         assert report.terms["mse"] == pytest.approx(var + (b1 / 40) ** 2, rel=1e-14)
+
+
+class TestRealBandwidthAndSampleSize:
+    """m and n are finite positive reals; a bool or a numeric string is refused, not read as a number."""
+
+    @pytest.mark.parametrize("report", [density_mse, density_mse_shoulder, cdf_mse])
+    @pytest.mark.parametrize(
+        "m,n,message",
+        [(True, 1e4, "'m' must be a finite positive number, got True"),
+         ("40", 1e4, "'m' must be a finite positive number, got '40'"),
+         (40, False, "'n' must be a finite positive number, got False"),
+         (40, "1e4", "'n' must be a finite positive number, got '1e4'")],
+    )
+    def test_bool_or_string_is_refused(self, uni1, report, m, n, message):
+        # True ran as m = 1; a string ended in a TypeError
+        with pytest.raises(ValidationError, match=message):
+            report(uni1, BoundaryProfile(d=1, boundary={1: 1.0}), m, n)

@@ -108,6 +108,18 @@ class TestEstimate:
         assert code == 2
         assert "exceeding" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["estimate", "--m", "0", "--kind", "density"], "order m must be >= 1, got 0"),
+         (["estimate", "--m", "0", "--kind", "cdf"], "order m must be >= 1, got 0"),
+         (["--threads", "0", "estimate", "--m", "5", "--kind", "cdf"], "--threads must be >= 1, got 0")],
+        ids=["m-density", "m-cdf", "threads"],
+    )
+    def test_library_rules_refuse_for_the_cli(self, data_csv, points_csv, capsys, argv, message):
+        # the CLI keeps no copy of these rules; the error line is the library's
+        code, out, err = run_cli([*argv, "--data", data_csv, "--points", points_csv], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestEstimateGolden:
     """CLI ``estimate`` stdout is pinned byte for byte on a fixed two-decimal d = 2 dataset."""
@@ -244,6 +256,11 @@ class TestMalformedConfig:
             ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [float("nan"), 2]}), "'alpha'"),
             ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [float("inf"), 2]}), "'alpha'"),
             ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [True, 2]}), "'alpha'"),
+            ("theory", dict(THEORY_OK, m="40"), "'m'"),
+            ("theory", dict(THEORY_OK, n="1000"), "'n'"),
+            ("theory", dict(THEORY_OK, estimator="mode"), "'estimator'"),
+            ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [1e6, 1e6]}), "'alpha'"),
+            ("theory", dict(THEORY_OK, model={"name": "uniform", "d": 0}), "dimension d"),
         ],
         ids=["sums-no-d", "sums-bad-lambda", "sums-array", "theory-no-d", "theory-bad-m", "verify-bad-grid",
              "verify-array", "theory-model-string", "verify-model-string", "theory-alpha-string",
@@ -251,7 +268,8 @@ class TestMalformedConfig:
              "verify-m-grid-object", "verify-m-grid-fraction", "verify-n-grid-fraction", "verify-replicates-fraction", "verify-seed-fraction",
              "theory-uniform-d-fraction", "theory-profile-d-fraction", "theory-m-nan", "theory-m-infinity",
              "theory-n-nan", "theory-m-bool", "theory-model-no-name", "verify-model-no-name", "verify-seed-negative",
-             "theory-alpha-nan", "theory-alpha-infinity", "theory-alpha-bool"],
+             "theory-alpha-nan", "theory-alpha-infinity", "theory-alpha-bool", "theory-m-numeric-string",
+             "theory-n-numeric-string", "theory-estimator-unknown", "theory-alpha-overflow", "theory-uniform-d-zero"],
     )
     def test_exits_with_error_line(self, tmp_path, capsys, command, payload, named):
         path = tmp_path / "config.json"

@@ -90,6 +90,13 @@ class TestCsvIngestion:
         with pytest.raises(ValidationError, match="row 1"):
             Dataset.from_csv(io.StringIO("0.1,0.2\n"), d=3)
 
+    @pytest.mark.parametrize("d,message", [(0, "must be >= 1, got 0"), (1.5, "must be an integer, got 1.5"),
+                                           (True, "must be an integer, got True")])
+    def test_dimension_is_refused(self, d, message):
+        # True used to be compared with the column count ("expected True columns")
+        with pytest.raises(ValidationError, match="dimension d " + message):
+            Dataset.from_csv(io.StringIO("0.1\n0.2\n"), d=d)
+
 
 @st.composite
 def simplex_csv(draw):

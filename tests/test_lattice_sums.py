@@ -152,6 +152,12 @@ class TestMinCouplingLimit:
         with pytest.raises(ValidationError):
             min_coupling_limit(10, PROFILES["d1-interior"], 2)
 
+    @pytest.mark.parametrize("m", [0, -4, math.nan, True])
+    def test_bandwidth_must_be_a_finite_positive_number(self, m):
+        # 0 divided by zero, NaN came back as NaN and True ran as m = 1
+        with pytest.raises(ValidationError, match="bandwidth 'm' must be a finite positive number"):
+            min_coupling_limit(m, PROFILES["d1-boundary"], 1)
+
 
 class TestDiagnostics:
     def test_square_sum_gap_shrinks(self):
@@ -172,6 +178,19 @@ class TestDiagnostics:
         # lambda = m puts the coordinate at 1, outside the open interval the coupling sum needs
         with pytest.raises(ValidationError, match="strictly in"):
             min_coupling_diagnostics(BoundaryProfile(d=1, boundary={1: 10.0}), 1, (10,))
+
+    @pytest.mark.parametrize("p,message", [(1.5, "must be an integer, got 1.5"), (True, "must be an integer, got True"),
+                                           (3, "must be in 1..2, got 3")])
+    def test_coordinate_index_is_refused(self, p, message):
+        with pytest.raises(ValidationError, match="coordinate index p " + message):
+            min_coupling_diagnostics(PROFILES["d2-mixed"], p, (50,))
+
+    @pytest.mark.parametrize("p", ["2", 2.0])
+    def test_coordinate_index_is_converted_once(self, p):
+        # the index names the rows and picks the coordinate as the int it spells
+        rows = min_coupling_diagnostics(PROFILES["d2-mixed"], p, (50, 200))
+        assert [row.quantity for row in rows] == ["min_coupling_x2"] * 2
+        assert rows == min_coupling_diagnostics(PROFILES["d2-mixed"], 2, (50, 200))
 
     def test_interior_scaling_uses_sqrt_m(self):
         prof = PROFILES["d1-interior"]

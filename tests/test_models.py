@@ -20,6 +20,12 @@ class TestUniform:
         assert np.all(model.density_grad(np.zeros(d)) == 0.0)
         assert np.all(model.density_hessian(np.zeros(d)) == 0.0)
 
+    @pytest.mark.parametrize("d,message", [(0, "must be >= 1, got 0"), (2.5, "must be an integer, got 2.5"),
+                                           (True, "must be an integer, got True")])
+    def test_dimension_is_refused(self, d, message):
+        with pytest.raises(ValidationError, match="dimension d " + message):
+            uniform_model(d)
+
 
 class TestBetaFamily:
     def test_beta22_closed_forms(self, beta22):
@@ -54,6 +60,12 @@ class TestDirichletGeneral:
     def test_non_finite_parameters(self, bad):
         with pytest.raises(ValidationError, match="finite and positive"):
             dirichlet_model((bad, 2.0))
+
+    @pytest.mark.parametrize("alpha", [(1e6, 1e6), (1e307, 2.0)])
+    def test_parameters_beyond_float_range_of_the_constant(self, alpha):
+        # the normalising constant overflowed in math.exp (and math.lgamma) with a raw OverflowError
+        with pytest.raises(ValidationError, match="Dirichlet parameters 'alpha' overflow the normalising constant"):
+            dirichlet_model(alpha)
 
     @pytest.mark.parametrize("alpha", [(2, 2), (3, 3), (1, 2), (2, 3, 4), (1, 1, 1), (3, 2, 2, 3)])
     def test_derivatives_match_finite_differences(self, alpha):

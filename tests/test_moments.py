@@ -132,6 +132,11 @@ class TestFourthMoment:
         np.testing.assert_allclose(seq, pmf_check, rtol=1e-12)
         assert max(seq) <= 3.0 / 16.0 + 0.05
 
+    def test_every_order_is_at_least_one(self):
+        # m = 0 used to divide by zero after enumerating the lattice
+        with pytest.raises(ValidationError, match="order m must be >= 1, got 0"):
+            fourth_moment_scaling([0, 5], 0.5, (1, 1, 1, 1))
+
     def test_requires_four_indices(self):
         with pytest.raises(ValidationError):
             fourth_moment_scaling((4, 8), 0.5, (1, 1))

@@ -94,7 +94,9 @@ class TestMcBiasVariance:
     @pytest.mark.parametrize(
         "field,value,message",
         [("seed", -5, "'seed' must be a non-negative integer"), ("replicates", 2.5, "'replicates' must be an integer"),
-         ("m", 2.5, "order m must be an integer"), ("n", 2.5, "sample size n must be an integer")],
+         ("m", 2.5, "order m must be an integer"), ("n", 2.5, "sample size n must be an integer"),
+         ("threads", 0, "'threads' must be >= 1, got 0"), ("threads", -1, "'threads' must be >= 1, got -1"),
+         ("threads", 2.5, "'threads' must be an integer, got 2.5"), ("kind", "mode", "'kind' must be 'density' or 'cdf'")],
     )
     def test_design_is_checked_before_sampling(self, beta22, monkeypatch, field, value, message):
         calls = _count_samples(monkeypatch)
@@ -141,6 +143,21 @@ class TestSetupBeforeSampling:
         calls = _count_samples(monkeypatch)
         with pytest.raises(ValidationError, match="m=4 too small to realize the profile"):
             run_experiment(experiment)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "threads,message",
+        [(0, "must be >= 1, got 0"), (-1, "must be >= 1, got -1"), (2.5, "must be an integer, got 2.5")],
+    )
+    def test_threads_are_checked_before_sampling(self, monkeypatch, threads, message):
+        # each of these used to run, serially
+        experiment = Experiment(
+            model_name="uniform", model_params={"d": 1}, profile=BoundaryProfile(d=1, boundary={1: 1.0}),
+            kind="density", m_grid=(20,), n_grid=(100,), replicates=5, seed=1,
+        )
+        calls = _count_samples(monkeypatch)
+        with pytest.raises(ValidationError, match="'threads' " + message):
+            run_experiment(experiment, threads=threads)
         assert calls == []
 
 
