@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bessel import min_coupling_factor, poisson_equal_probability
-from .errors import ValidationError, _as_int, _check_mn
+from .errors import ValidationError, _as_int, _as_real, _check_mn
 from .models import DensityModel
 from .simplex import SimplexPoint
 
@@ -41,12 +41,18 @@ class BoundaryProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", _as_int(self.d, "profile field 'd'", least=1))
-        for key in ("boundary", "interior"):
+        rules = {"boundary": ("lambda", "must be finite and >= 0", lambda v: 0 <= v < math.inf),
+                 "interior": ("x", "must lie strictly in (0, 1)", lambda v: 0 < v < 1)}
+        for key, (name, rule, holds) in rules.items():
             value = getattr(self, key)
             try:
-                converted = {_as_int(i, f"a key of profile field {key!r}"): float(v) for i, v in dict(value).items()}
+                items = dict(value).items()
             except (TypeError, ValueError):
                 raise ValidationError(f"profile field {key!r} is malformed: {value!r}") from None
+            converted = {}
+            for i, v in items:
+                i = _as_int(i, f"a key of profile field {key!r}")
+                converted[i] = _as_real(v, f"{name}_{i} of profile field {key!r} {rule}", holds)
             object.__setattr__(self, key, converted)
         keys = sorted(self.boundary) + sorted(self.interior)
         if sorted(keys) != list(range(1, self.d + 1)):
@@ -54,12 +60,6 @@ class BoundaryProfile:
                 f"boundary {sorted(self.boundary)} and interior {sorted(self.interior)} "
                 f"must partition 1..{self.d}"
             )
-        for i, lam in self.boundary.items():
-            if not math.isfinite(lam) or lam < 0:
-                raise ValidationError(f"lambda_{i} must be finite and >= 0, got {lam}")
-        for i, xi in self.interior.items():
-            if not 0.0 < xi < 1.0:
-                raise ValidationError(f"x_{i} must lie strictly in (0, 1), got {xi}")
         if sum(self.interior.values()) >= 1.0:
             raise ValidationError("fixed interior coordinates must sum to less than 1")
 

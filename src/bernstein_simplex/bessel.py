@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _as_real
 
 DEFAULT_TOL = 1e-14
 
@@ -37,10 +37,8 @@ def _check_arguments(nu: int, z: float, tol: float) -> None:
     if nu not in (0, 1):
         raise ValidationError(f"order must be 0 or 1, got {nu}")
     # written so that NaN fails them too
-    if not z >= 0:
-        raise ValidationError(f"argument must be >= 0, got {z}")
-    if not tol > 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    _as_real(z, "argument must be >= 0", lambda v: v >= 0)
+    _as_real(tol, "tolerance must be positive", lambda v: v > 0)
 
 
 def _series(nu: int, z: float, tol: float) -> BesselValue:
@@ -155,6 +153,10 @@ def bessel_i1(z: float) -> float:
     return bessel_i(1, z).value
 
 
+def _check_lambda(lam: float) -> None:
+    _as_real(lam, "lambda must be >= 0", lambda v: v >= 0)  # NaN fails too
+
+
 def poisson_equal_probability(lam: float) -> float:
     """P{X = Y} for X, Y independent Poisson(lam), i.e. exp(-2 lam) I_0(2 lam).
 
@@ -162,8 +164,7 @@ def poisson_equal_probability(lam: float) -> float:
     coordinate that sits a fixed number of lattice steps from the boundary.
     Equals 1 exactly at lam = 0 and decays like (4 pi lam)^(-1/2).
     """
-    if not lam >= 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
+    _check_lambda(lam)
     return bessel_i_scaled(0, 2.0 * lam).value
 
 
@@ -172,8 +173,7 @@ def poisson_within_one_probability(lam: float) -> float:
 
     Equals exp(-2 lam)(I_0(2 lam) + I_1(2 lam)); tends to 1 as lam -> 0.
     """
-    if not lam >= 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
+    _check_lambda(lam)
     z = 2.0 * lam
     if z < ASYMPTOTIC_FROM:
         # scale the sum, not each term, so the value keeps its rounding

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule each for integers in a range, orders, sample sizes, seeds and a real m and n."""
+"""Exception types shared across the package, and its one rule each for integers in a range, orders, sample sizes, seeds, real numbers and a real m and n."""
 
 import contextlib
 import numbers
@@ -65,8 +65,21 @@ def _as_seed(seed: object) -> int:
     return seed
 
 
+def _as_real(value: object, requirement: str, holds=lambda v: True) -> float:
+    """``value`` as a float if it is a real number for which ``holds`` is true, else a :class:`ValidationError`.
+
+    The message is ``{requirement}, got {value!r}``, the requirement naming
+    the value and its rule, as in ``"lambda must be >= 0"``.  Bools, strings
+    and other non-numbers are refused rather than converted, and so is an
+    int beyond float range; ints, floats and numpy numbers pass.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) and holds(value):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValidationError(f"{requirement}, got {value!r}")
+
+
 def _check_mn(m: object, n: object = 1.0) -> None:
-    """Refuse a bandwidth ``m`` or sample size ``n`` that is not a positive real of float range; bools are refused."""
+    """Refuse a bandwidth ``m`` or sample size ``n`` that is not a positive real of float range, by :func:`_as_real`."""
     for what, value in (("bandwidth 'm'", m), ("sample size 'n'", n)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= sys.float_info.max:
-            raise ValidationError(f"{what} must be a finite positive number, got {value!r}")
+        _as_real(value, f"{what} must be a finite positive number", lambda v: 0 < v <= sys.float_info.max)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_int
+from .errors import ValidationError, _as_int, _as_real
 
 Array = np.ndarray
 
@@ -110,11 +110,11 @@ def dirichlet_model(alpha: Sequence[float]) -> DensityModel:
     evaluation in the interior.  For d = 1 with integer parameters the cdf
     and its first three derivatives come in closed form.
     """
-    alpha = tuple(float(a) for a in alpha)
+    # NaN fails both comparisons; a bool or a string is refused, not read as a number
+    alpha = tuple(_as_real(a, "Dirichlet parameters 'alpha' must be finite and positive", lambda v: 0 < v < math.inf)
+                  for a in alpha)
     if len(alpha) < 2:
         raise ValidationError("alpha must have length d + 1 >= 2")
-    if not all(0.0 < a < math.inf for a in alpha):  # NaN fails both comparisons
-        raise ValidationError(f"Dirichlet parameters 'alpha' must be finite and positive, got {alpha}")
     d = len(alpha) - 1
     try:  # the exp overflows for large parameters such as [1e6, 1e6], lgamma itself from about 1e305
         const = math.exp(math.lgamma(sum(alpha)) - sum(math.lgamma(a) for a in alpha))

@@ -177,9 +177,9 @@ def build_model(name: str, params: Mapping[str, object]) -> DensityModel:
         if "alpha" not in params:
             raise ValidationError("dirichlet model config needs an 'alpha' list")
         alpha = params["alpha"]
-        if not isinstance(alpha, (list, tuple)) or any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in alpha):
+        if not isinstance(alpha, (list, tuple)):
             raise ValidationError(f"model field 'alpha' must be a list of numbers, got {alpha!r}")
-        return dirichlet_model([float(a) for a in alpha])
+        return dirichlet_model(alpha)
     if name == "uniform":
         if "d" not in params:
             raise ValidationError("uniform model config needs a dimension 'd'")

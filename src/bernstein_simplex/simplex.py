@@ -14,12 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError, ValidationError, _as_int, _as_order
+from .errors import SizeLimitError, ValidationError, _as_int, _as_order, _as_real
 
 #: Tolerance used when validating simplex membership of a single point.
 COORD_TOLERANCE = 1e-12
 
-#: Refuse to enumerate lattices, or build dense grids, with more points or cells than this.
+#: Refuse to enumerate lattices, build dense grids or fold power sums with more points, cells or terms than this.
 MAX_LATTICE_SIZE = 10**8
 
 
@@ -60,15 +60,20 @@ def _validated_points(
 class SimplexPoint:
     """A validated point of the unit simplex.
 
-    Coordinates must be nonnegative and sum to at most one; violations up
-    to ``COORD_TOLERANCE`` are clamped, larger ones raise
-    :class:`ValidationError`; a one-row dataset passes the same rule.
+    Coordinates must be real numbers (not bools or strings), nonnegative
+    and sum to at most one; violations up to ``COORD_TOLERANCE`` are
+    clamped, larger ones raise :class:`ValidationError`; a one-row dataset
+    passes the same rule.
     """
 
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coords, dtype=float)
+        coords = self.coords
+        if not (isinstance(coords, np.ndarray) and coords.dtype.kind in "iuf"):
+            for value in np.asarray(coords, dtype=object).ravel():
+                _as_real(value, "a simplex point coordinate must be a real number")
+        arr = np.asarray(coords, dtype=float)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValidationError("a simplex point needs a one-dimensional sequence of at least one coordinate")
         row = _validated_points(arr[None, :], label=f"simplex point {tuple(arr.tolist())}")
@@ -79,7 +84,8 @@ class SimplexPoint:
         """Coerce a scalar, sequence or SimplexPoint into a SimplexPoint."""
         if isinstance(value, SimplexPoint):
             return value
-        return cls(np.atleast_1d(np.asarray(value, dtype=float)))
+        # an array keeps its dtype; anything else is read as objects, so a bool or a string in it meets the check
+        return cls(np.atleast_1d(value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)))
 
     @property
     def d(self) -> int:
@@ -104,26 +110,25 @@ def lattice_size(m: int, d: int) -> int:
     return math.comb(m + d, d)
 
 
+def check_cap(count: int, what: str) -> None:
+    """Refuse with :class:`SizeLimitError` a ``count`` of points, cells or terms above the cap; ``what`` says whose."""
+    if count > MAX_LATTICE_SIZE:
+        raise SizeLimitError(f"{what}, exceeding the cap of {MAX_LATTICE_SIZE}")
+
+
 def check_lattice_size(m: int, d: int) -> tuple[int, int]:
     """``(m, d)`` as ints, or an error if either is invalid or the lattice exceeds the cap."""
     m = _as_order(m, 0)
     d = _as_int(d, "dimension d", least=1)
     size = lattice_size(m, d)
-    if size > MAX_LATTICE_SIZE:
-        raise SizeLimitError(
-            f"lattice for (m={m}, d={d}) has {size} points, "
-            f"exceeding the cap of {MAX_LATTICE_SIZE}"
-        )
+    check_cap(size, f"lattice for (m={m}, d={d}) has {size} points")
     return m, d
 
 
 def check_grid_size(shape: Sequence[int]) -> None:
     """Refuse a dense grid of ``shape`` with more cells than the lattice cap."""
     cells = math.prod(shape)
-    if cells > MAX_LATTICE_SIZE:
-        raise SizeLimitError(
-            f"grid of shape {tuple(shape)} has {cells} cells, exceeding the cap of {MAX_LATTICE_SIZE}"
-        )
+    check_cap(cells, f"grid of shape {tuple(shape)} has {cells} cells")
 
 
 def lattice_array(m: int, d: int) -> np.ndarray:
@@ -234,8 +239,7 @@ def lattice_window(m: int, x: "SimplexPoint | float | Sequence[float]", tol: flo
     """
     x = SimplexPoint.of(x)
     m = _as_order(m, 0)
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"truncation tolerance must be in (0, 1), got {tol}")
+    _as_real(tol, "truncation tolerance must be in (0, 1)", lambda v: 0 < v < 1)
     w = _truncation_halfwidth(m, x.d, tol)
     lo = [max(0, math.ceil(m * xi - w)) for xi in x.coords]
     shape = [min(m, math.floor(m * xi + w)) + 1 - low for xi, low in zip(x.coords, lo)]

@@ -1,10 +1,13 @@
 import csv
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from bernstein_simplex import Dataset, ValidationError, dirichlet_model, uniform_model
+from bernstein_simplex import (
+    Dataset, SimplexPoint, ValidationError, dirichlet_model, lattice_array, log_multinomial_pmf, uniform_model,
+)
 from bernstein_simplex.estimators import CSV_TOLERANCE, _validated_points
 
 
@@ -62,6 +65,40 @@ def multinomial_pmf_exact(k, m: int, x) -> float:
         coef //= math.factorial(ki)
         prob *= xi**ki
     return coef * prob
+
+
+@functools.lru_cache(maxsize=1)  # both powers at one (m, x) share one enumeration
+def _lattice_log_pmf(m: int, coords: tuple[float, ...]) -> np.ndarray:
+    x = SimplexPoint.of(coords)
+    return log_multinomial_pmf(lattice_array(m, x.d), m, x)
+
+
+def reference_pmf_power_sum(m: int, x, power: int) -> float:
+    """Sum of the Multinomial(m - 1, x) probabilities raised to ``power``, by enumerating every lattice point."""
+    return float(np.exp(power * _lattice_log_pmf(m - 1, SimplexPoint.of(x).coords)).sum())
+
+
+def chain_pmf_power_sum(m: int, x, power: int) -> float:
+    """The same sum by the conditional-binomial chain, with ``scipy.special`` log-gammas.
+
+    P(k) = Bin(k_1; M, q_1) Bin(k_2; M - k_1, q_2) ..., with q_i the share of
+    coordinate i in what the earlier ones leave, so the sum folds one
+    coordinate at a time from the last to the first.
+    """
+    from scipy.special import gammaln, xlog1py, xlogy
+
+    big_m, x = m - 1, [float(v) for v in x]
+    tail = np.ones(big_m + 1)  # tail[n]: the sum over the coordinates after i, given n trials left
+    for i in range(len(x) - 1, -1, -1):
+        left = 1.0 - sum(x[:i])
+        q = min(1.0, x[i] / left) if left > 0 else 0.0
+        folded = np.empty(big_m + 1)
+        for n in range(big_m + 1):
+            k = np.arange(n + 1.0)
+            logp = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0) + xlogy(k, q) + xlog1py(n - k, -q)
+            folded[n] = np.exp(power * logp) @ tail[n::-1]
+        tail = folded
+    return float(tail[big_m])
 
 
 def reference_cdf(data: np.ndarray, m: int, x) -> float:

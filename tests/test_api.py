@@ -83,6 +83,7 @@ ONE_RULE = {
     "must be {bounds}, got ": "errors",  # integers in a range: dimension, 1-based index, worker threads
     "must be 'density' or 'cdf'": "montecarlo",
     "must be a finite positive number": "errors",
+    "{requirement}, got {value!r}": "errors",  # real numbers: m and n, lambda, Bessel arguments, Dirichlet parameters, points
 }
 
 

@@ -261,6 +261,9 @@ class TestMalformedConfig:
             ("theory", dict(THEORY_OK, estimator="mode"), "'estimator'"),
             ("theory", dict(THEORY_OK, model={"name": "dirichlet", "alpha": [1e6, 1e6]}), "'alpha'"),
             ("theory", dict(THEORY_OK, model={"name": "uniform", "d": 0}), "dimension d"),
+            ("sums", {"d": 1, "boundary": {"1": True}}, "'boundary'"),
+            ("sums", {"d": 1, "boundary": {"1": "1.0"}}, "'boundary'"),
+            ("sums", {"d": 1, "interior": {"1": "0.5"}}, "'interior'"),
         ],
         ids=["sums-no-d", "sums-bad-lambda", "sums-array", "theory-no-d", "theory-bad-m", "verify-bad-grid",
              "verify-array", "theory-model-string", "verify-model-string", "theory-alpha-string",
@@ -269,7 +272,8 @@ class TestMalformedConfig:
              "theory-uniform-d-fraction", "theory-profile-d-fraction", "theory-m-nan", "theory-m-infinity",
              "theory-n-nan", "theory-m-bool", "theory-model-no-name", "verify-model-no-name", "verify-seed-negative",
              "theory-alpha-nan", "theory-alpha-infinity", "theory-alpha-bool", "theory-m-numeric-string",
-             "theory-n-numeric-string", "theory-estimator-unknown", "theory-alpha-overflow", "theory-uniform-d-zero"],
+             "theory-n-numeric-string", "theory-estimator-unknown", "theory-alpha-overflow", "theory-uniform-d-zero",
+             "sums-lambda-bool", "sums-lambda-numeric-string", "sums-interior-numeric-string"],
     )
     def test_exits_with_error_line(self, tmp_path, capsys, command, payload, named):
         path = tmp_path / "config.json"
@@ -446,6 +450,18 @@ class TestSums:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "--m-grid" in err
 
+    @pytest.mark.parametrize("m,code", [(9999, 0), (10_000, 2)])
+    def test_reach_at_d3(self, tmp_path, capsys, m, code):
+        # the weight power sum folds (d - 1) C(m + 1, 2) terms, which reaches the cap of 1e8 after m = 9,999 at d = 3
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"d": 3, "boundary": {"1": 2.0}, "interior": {"2": 0.3, "3": 0.2}}))
+        exit_code, out, err = run_cli(["sums", "--profile", str(profile), "--m-grid", str(m)], capsys)
+        assert exit_code == code
+        if code == 0:
+            assert out.splitlines()[1].startswith(f"pmf_square_sum,{m},")
+        else:
+            assert out == "" and err.startswith("error: ") and "exceeding the cap" in err
+
     def test_csv_round_trip(self, tmp_path, capsys):
         spec = {"d": 1, "boundary": {"1": 1.0}}
         path = tmp_path / "profile.json"
@@ -583,8 +599,8 @@ class TestStdoutGolden:
         "theory-density": "38621b45a66097ee5f27c1aa8c58eb3d191f1c07478618e8edb11196dd82f360",
         "theory-shoulder": "a1f40d8050790af8ae3c1b089b6fcb103b669dd8a6b9c8e41783f6853708d968",
         "theory-cdf": "18abf0561e4ee91300b35eda17c08d2b6b58173e358f7659b59700fc34b0d547",
-        "sums-d1": "f9f03708951a77ef9b7be073abce52f55ac2bd220c045f00a371044c6ec62dea",
-        "sums-d2": "c0ee1028da9970f44c0d2fdc2723cbe061b84f5ccc322c64d9a92a26744e62fa",
+        "sums-d1": "c1accea9431d4b7f24865454aee9424700e75df09377f4c5238350b5266699ce",
+        "sums-d2": "da6d24e0bb10d1ad7cf2a335f58dd106bf7ee01d22097d102db8e95646662cbf",
         "moments-order2": "74bb763e6e9f5b17c2f3b8be811fa484fc320e92ff1aeec3012745ca4b4fc09c",
         "moments-order3": "70045af3c5e38fe10c2dfd152622f40a885d1538eb633c2c0dce7f20ca691642",
         "moments-order4": "e7091d26c279c91bfab406090d2a2ccebef74b031af2df91531df79099d2afea",

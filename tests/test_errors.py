@@ -1,10 +1,21 @@
-"""The package's one rule for integer inputs: ints and their exact spellings pass, nothing is truncated."""
+"""The package's one rule for integer inputs (ints and their exact spellings pass, nothing is truncated) and for real ones."""
 
 import numpy as np
 import pytest
 
-from bernstein_simplex import ValidationError
-from bernstein_simplex.errors import _as_int
+from bernstein_simplex import (
+    BoundaryProfile,
+    SimplexPoint,
+    ValidationError,
+    bessel_i,
+    dirichlet_model,
+    lattice_window,
+    min_coupling_factor,
+    min_coupling_sum,
+    poisson_equal_probability,
+    sum_pmf_power,
+)
+from bernstein_simplex.errors import _as_int, _as_real
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), 3.0, np.float64(3.0), "3", " 3 "])
@@ -38,3 +49,49 @@ def test_bounds_are_checked_after_the_conversion(value, least, most, message):
 @pytest.mark.parametrize("value,least,most", [(1, 1, None), (10**20, 1, None), (1, 1, 1), ("3", 1, 3), (2.0, 1, 3)])
 def test_values_within_the_bounds_pass(value, least, most):
     assert _as_int(value, "field 'k'", least, most) == int(value)
+
+
+@pytest.mark.parametrize("value", [0.5, 1, np.float64(0.5), np.int64(1), 1e308])
+def test_real_numbers_pass(value):
+    result = _as_real(value, "field 'v' must be a real number")
+    assert result == float(value) and type(result) is float
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", "", None, [0.5], 0.5j, 10**400])
+def test_everything_else_is_refused_as_a_real_number(value):
+    with pytest.raises(ValidationError, match="^field 'v' must be a real number, got "):
+        _as_real(value, "field 'v' must be a real number")
+
+
+@pytest.mark.parametrize("value", [0.0, -1, float("nan")])
+def test_a_real_number_outside_the_rule_is_refused(value):
+    with pytest.raises(ValidationError, match=f"^field 'v' must be positive, got {value!r}$"):
+        _as_real(value, "field 'v' must be positive", lambda v: v > 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: dirichlet_model([True, 2]), lambda: dirichlet_model(["2", "2"]), lambda: bessel_i(0, "1"),
+     lambda: bessel_i(0, True), lambda: poisson_equal_probability(True), lambda: min_coupling_factor("1"),
+     lambda: min_coupling_sum(10, "0.5"), lambda: BoundaryProfile(d=1, boundary={1: True}),
+     lambda: BoundaryProfile(d=1, boundary={1: "1.0"}), lambda: BoundaryProfile(d=1, interior={1: "0.5"}),
+     lambda: SimplexPoint.of("0.5"), lambda: SimplexPoint.of(True), lambda: SimplexPoint.of([0.2, True]),
+     lambda: SimplexPoint.of(np.array([True, False])), lambda: SimplexPoint.of(np.array(["0.5"])),
+     lambda: SimplexPoint.of([0.2, None]), lambda: SimplexPoint((0.2, "0.3")), lambda: sum_pmf_power(10, True, 2),
+     lambda: lattice_window(5, [0.3], "0.01")],
+    ids=["alpha-bool", "alpha-strings", "bessel-string", "bessel-bool", "poisson-bool", "coupling-factor-string",
+         "coupling-sum-string", "lambda-bool", "lambda-string", "interior-string", "point-string", "point-bool",
+         "point-bool-in-list", "point-bool-array", "point-string-array", "point-object-array", "point-constructor",
+         "power-sum-bool-point", "window-string-tolerance"],
+)
+def test_bools_and_strings_are_not_read_as_real_numbers(call):
+    # each of these ran as a number (a bool as 0 or 1, a numeric string as its value) or ended in a raw TypeError
+    with pytest.raises(ValidationError, match=" must (be|lie) .*, got "):
+        call()
+
+
+def test_real_numbers_keep_their_values():
+    assert SimplexPoint.of([1, 0]).coords == (1.0, 0.0) == SimplexPoint.of(np.array([1, 0])).coords
+    assert SimplexPoint.of(np.float64(0.3)).coords == SimplexPoint.of(0.3).coords == (0.3,)
+    assert BoundaryProfile(d=1, boundary={1: 2}).boundary == {1: 2.0}
+    assert dirichlet_model([2, 3]).density(np.array([0.3])) == dirichlet_model([2.0, 3.0]).density(np.array([0.3]))

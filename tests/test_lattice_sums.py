@@ -5,9 +5,11 @@ import pytest
 
 from bernstein_simplex import (
     BoundaryProfile,
+    SizeLimitError,
     ValidationError,
     density_variance_leading,
     dirichlet_model,
+    lattice_size,
     min_coupling_diagnostics,
     min_coupling_limit,
     min_coupling_sum,
@@ -16,10 +18,11 @@ from bernstein_simplex import (
     pmf_square_sum_limit,
     poisson_equal_probability,
     poisson_within_one_probability,
+    simplex,
     sum_pmf_power,
 )
 
-from conftest import binom_pmf_exact
+from conftest import binom_pmf_exact, chain_pmf_power_sum, reference_pmf_power_sum
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -58,6 +61,54 @@ class TestPowerSums:
         square = sum_pmf_power(m, x, 2)
         cube = sum_pmf_power(m, x, 3)
         assert 0.0 < cube <= square <= 1.0
+
+
+#: points of every kind the fold must handle: interior, a face x_i = 0, the face sum(x) = 1, the vertices
+FOLD_POINTS = {
+    "d1-interior": (0.3,), "d1-sum-one": (1.0,), "d1-origin": (0.0,),
+    "d2-interior": (0.2, 0.3), "d2-face": (0.0, 0.4), "d2-sum-one": (0.45, 0.55),
+    "d2-origin": (0.0, 0.0), "d2-vertex1": (1.0, 0.0), "d2-vertex2": (0.0, 1.0),
+    "d3-interior": (0.1, 0.2, 0.3), "d3-face": (0.0, 0.3, 0.2), "d3-sum-one": (0.2, 0.3, 0.5),
+    "d3-origin": (0.0, 0.0, 0.0), "d3-vertex1": (1.0, 0.0, 0.0), "d3-vertex2": (0.0, 1.0, 0.0),
+    "d3-vertex3": (0.0, 0.0, 1.0),
+}
+
+
+class TestConvolutionFold:
+    @pytest.mark.parametrize("power", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 9, 50, 300])
+    @pytest.mark.parametrize("name", list(FOLD_POINTS))
+    def test_matches_enumeration(self, name, m, power):
+        x = FOLD_POINTS[name]
+        assert sum_pmf_power(m, x, power) == pytest.approx(reference_pmf_power_sum(m, x, power), rel=1e-11)
+
+    def test_matches_binomial_chain_beyond_the_lattice_cap(self):
+        # the lattice here has 1.3e9 points, above the cap; the fold multiplies 4.0e6 terms
+        x = (0.001, 0.3, 0.2)
+        assert sum_pmf_power(2000, x, 2) == pytest.approx(chain_pmf_power_sum(2000, x, 2), rel=1e-10)
+
+    def test_size_rule_at_d3(self):
+        # the fold multiplies (d - 1) C(m + 1, 2) terms: 99,990,000 at m = 9,999 and 100,010,000 at m = 10,000
+        assert 0.0 < sum_pmf_power(9999, (2 / 9999, 0.3, 0.2), 2) < 1.0
+        with pytest.raises(SizeLimitError, match="folds 100010000 terms, exceeding the cap of 100000000"):
+            sum_pmf_power(10_000, (2 / 10_000, 0.3, 0.2), 2)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_size_rule_is_the_lattice_cap_up_to_d2(self, monkeypatch, d):
+        monkeypatch.setattr(simplex, "MAX_LATTICE_SIZE", 1000)
+        x = (0.3, 0.4)[:d]
+        big_m = next(big_m for big_m in range(10_000) if lattice_size(big_m + 1, d) > 1000)  # the last order under the cap
+        assert sum_pmf_power(big_m + 1, x, 2) > 0.0
+        with pytest.raises(SizeLimitError):
+            sum_pmf_power(big_m + 2, x, 2)
+
+    def test_first_order_convergence_at_d3(self):
+        # rel_gap shrinks like 2.74 / m on the benchmark's d = 3 profile, up to m = 9,999
+        prof = BoundaryProfile(d=3, boundary={1: 2.0}, interior={2: 0.3, 3: 0.2})
+        rows = pmf_square_diagnostics(prof, (1000, 3000, 9999))
+        assert rows[0].rel_gap > rows[1].rel_gap > rows[2].rel_gap
+        for row in rows:
+            assert row.m * row.rel_gap == pytest.approx(2.74, rel=0.02)
 
 
 class TestPredictedLimits:
