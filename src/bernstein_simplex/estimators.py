@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError, _as_int, _as_order, _as_sample_size
-from .simplex import SimplexPoint, _validated_points, check_grid_size, check_lattice_size, lattice_array, log_multinomial_pmf
+from .simplex import SimplexPoint, _log_multinomial_pmf, _validated_points, check_grid_size, check_lattice_size, lattice_array
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
@@ -195,7 +195,7 @@ def bernstein_cdf_many(
         np.cumsum(below, axis=axis, out=below)
     karr = lattice_array(m, data.d)
     values = below[tuple(karr.T)] / data.n
-    return np.array([np.dot(values, np.exp(log_multinomial_pmf(karr, m, x))) for x in xs], dtype=float)
+    return np.array([np.dot(values, np.exp(_log_multinomial_pmf(karr, m, x))) for x in xs], dtype=float)
 
 
 def bernstein_cdf(data: Dataset, m: int, x: "SimplexPoint | float | Sequence[float]") -> float:
@@ -219,13 +219,21 @@ class HistogramCounts:
     of their counts.  Points with a coordinate exactly 0 sit on a lower
     cube face, which the half-open convention would leave unassigned; they
     are counted in the lowest cube of that coordinate so the counts always
-    sum to n.
+    sum to n.  Every cell must lie on the order-(m - 1) lattice (indices
+    >= 0, sum <= m - 1), where :func:`density_from_counts` weights it
+    without a further check; any other cell is refused here.
     """
 
     m: int
     d: int
     cells: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        cells = np.asarray(self.cells, dtype=np.int64)
+        if cells.ndim != 2 or cells.shape[1] != self.d or (cells < 0).any() or (cells.sum(axis=1) > self.m - 1).any():
+            raise ValidationError(f"histogram cells must be rows of {self.d} indices >= 0 with sum <= m - 1 = {self.m - 1}")
+        object.__setattr__(self, "cells", cells)
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -264,5 +272,5 @@ def density_from_counts(
     n = _as_sample_size(n)
     x = _point_of_dimension(x, counts.d, "histogram")
     check_lattice_size(counts.m - 1, counts.d)
-    logp = log_multinomial_pmf(counts.cells, counts.m - 1, x)
+    logp = _log_multinomial_pmf(counts.cells, counts.m - 1, x)
     return float(counts.m ** counts.d * np.dot(counts.counts / n, np.exp(logp)))

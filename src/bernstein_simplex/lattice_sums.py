@@ -18,44 +18,27 @@ import numpy as np
 from .asymptotics import BoundaryProfile, _boundary_factor
 from .bessel import poisson_within_one_probability
 from .errors import ValidationError, _as_int, _as_order, _as_real, _check_mn
-from .simplex import SimplexPoint, check_cap, lattice_array, log_factorials, log_multinomial_pmf
-
-
-def _poisson_power_row(big_m: int, rate: float, power: int) -> np.ndarray:
-    """``Pois(t; rate) ** power`` for ``t = 0..big_m``; a zero rate gives the point mass at 0 (``0**0 == 1``)."""
-    if rate == 0.0:
-        row = np.zeros(big_m + 1)
-        row[0] = 1.0
-        return row
-    t = np.arange(big_m + 1)
-    return np.exp(power * (t * math.log(rate) - rate - log_factorials(big_m)))
+from .simplex import SimplexPoint, _log_multinomial_pmf, _poisson_fold, _poisson_log_row, lattice_array
 
 
 def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: int) -> float:
     """Sum of the order-(m-1) multinomial weights raised to ``power`` (2 or 3), by a convolution fold.
 
-    With ``M = m - 1`` and the last share ``x_{d+1} = 1 - sum(x)``,
-    Multinomial(M, x)(k) is ``prod_j Pois(k_j; M x_j) / Pois(M; M)`` over
-    the d + 1 categories with ``k_{d+1} = M - sum(k)``.  So the sum is the
-    entry ``M`` of the convolution of the rows ``Pois(t; M x_j) ** power``,
-    ``t = 0..M``, divided by ``Pois(M; M) ** power``: each convolution is
-    cut back to ``0..M`` and the last one is a single dot product.  All
-    terms are positive, so nothing cancels.  Cost O(d M^2), memory O(d M);
-    no lattice is enumerated.  Refused with :class:`SizeLimitError` when
-    the fold multiplies more terms than the lattice cap.
+    With ``M = m - 1``, Multinomial(M, x)(k) is ``prod_j Pois(k_j; M x_j) /
+    Pois(M; M)`` over the d + 1 categories (see ``simplex._poisson_fold``),
+    so the sum is the fold of the rows ``Pois(t; M x_j) ** power`` divided
+    by ``Pois(M; M) ** power``.  All terms are positive, so nothing
+    cancels.  Cost O(d M^2), memory O(d M); no lattice is enumerated.
+    Refused with :class:`SizeLimitError` when the fold multiplies more
+    terms than the lattice cap.
     """
     if power not in (2, 3):
         raise ValidationError(f"power must be 2 or 3, got {power}")
     m = _as_order(m, 1)
     x = SimplexPoint.of(x)
     big_m = m - 1
-    terms = big_m + 1 if x.d == 1 else (x.d - 1) * math.comb(big_m + 2, 2)
-    check_cap(terms, f"power sum for (m={m}, d={x.d}) folds {terms} terms")
-    rows = [_poisson_power_row(big_m, big_m * share, power) for share in (*x.coords, x.remainder)]
-    folded = rows[0]
-    for row in rows[1:-1]:
-        folded = np.convolve(folded, row)[: big_m + 1]
-    return float(folded @ rows[-1][::-1]) / _poisson_power_row(big_m, float(big_m), power)[-1]
+    folded = _poisson_fold(big_m, x, f"power sum for (m={m}, d={x.d})", lambda j, rate, log_row: np.exp(power * log_row))
+    return folded / np.exp(power * _poisson_log_row(big_m, float(big_m)))[-1]
 
 
 def pmf_square_sum_limit(profile: BoundaryProfile) -> float:
@@ -91,7 +74,7 @@ def min_coupling_sum(m: int, x_p: float) -> float:
     """
     m = _as_order(m, 1)
     _as_real(x_p, "x_p must lie strictly in (0, 1)", lambda v: 0 < v < 1)
-    pmf = np.exp(log_multinomial_pmf(lattice_array(m, 1), m, SimplexPoint.of([x_p])))
+    pmf = np.exp(_log_multinomial_pmf(lattice_array(m, 1), m, SimplexPoint.of([x_p])))
     # survival[t] = P(K >= t); reversed cumsum avoids cancellation in the tail
     survival = np.cumsum(pmf[::-1])[::-1]
     e_min = float(np.sum(survival[1:] ** 2))

@@ -1,20 +1,22 @@
-"""Joint central moments of the multinomial: closed forms and enumeration.
+"""Joint central moments of the multinomial: closed forms and an exact oracle.
 
-Orders two and three have exact closed forms; order four only carries an
-``O(m^2)`` growth bound, checked here by dividing enumerated moments by
-``m^2``.  The enumeration path doubles as an independent oracle for the
-closed forms.
+Orders two to four have closed forms, built from the central moments of
+one trial's one-hot vector.  The oracle is the exact sum over every
+outcome, by the Poisson convolution fold of ``simplex._poisson_fold``; it
+enumerates no lattice and checks the closed forms independently.
+Fourth moments grow as ``m^2``, checked here by dividing them by ``m^2``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError, _as_int, _as_order
-from .simplex import SimplexPoint, lattice_array, log_multinomial_pmf
+from .simplex import SimplexPoint, _poisson_fold
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,24 @@ class MomentQuery:
         object.__setattr__(self, "indices", indices)
 
 
+def _trial_moment(x: SimplexPoint, indices: Sequence[int]) -> float:
+    """``mu_A = sum_c x_c prod_{a in A} (delta_ca - x_a)`` over the d + 1 categories.
+
+    This is the joint central moment of the 1-based ``indices`` for a single
+    trial, whose outcome is the one-hot vector of its category.
+    """
+    shares = (*x.coords, x.remainder)
+    return sum(share * math.prod(float(c == a - 1) - x.coords[a - 1] for a in indices) for c, share in enumerate(shares))
+
+
 def central_moment_analytic(query: MomentQuery) -> float:
-    """Closed-form joint central moment of order two or three."""
+    """Closed-form joint central moment of order two, three or four.
+
+    K is a sum of m independent one-hot trials, so the moments of order two
+    and three are m times a single trial's.  Order four is ``m mu_ijkl +
+    m (m - 1) (s_ij s_kl + s_ik s_jl + s_il s_jk)``, with ``mu`` and the
+    covariances ``s`` of one trial (Ouimet, arXiv:2006.09059).
+    """
     x = query.x.coords
     m = query.m
     if len(query.indices) == 2:
@@ -51,21 +69,30 @@ def central_moment_analytic(query: MomentQuery) -> float:
             - (xj * xl if i == ell else 0.0)
             + (xi if i == j == ell else 0.0)
         )
-    raise ValidationError(
-        "no closed form for order-4 central moments; use central_moment_bruteforce"
-    )
+    i, j, k, ell = query.indices
+    s = lambda a, b: _trial_moment(query.x, (a, b))  # noqa: E731
+    pairs = s(i, j) * s(k, ell) + s(i, k) * s(j, ell) + s(i, ell) * s(j, k)
+    return m * _trial_moment(query.x, query.indices) + m * (m - 1) * pairs
 
 
 def central_moment_bruteforce(query: MomentQuery) -> float:
-    """Joint central moment by full enumeration of multinomial outcomes."""
-    x = query.x
-    karr = lattice_array(query.m, x.d)
-    probs = np.exp(log_multinomial_pmf(karr, query.m, x))
-    centered = karr.astype(float) - query.m * x.array
-    product = np.ones(len(karr))
-    for i in query.indices:
-        product *= centered[:, i - 1]
-    return float(np.dot(product, probs))
+    """Joint central moment: the exact sum over every outcome, by a Poisson convolution fold.
+
+    With ``c_j`` the number of times coordinate j appears in the indices,
+    ``E prod_j (K_j - m x_j)^c_j`` is the fold of the rows ``Pois(t; m x_j)
+    (t - m x_j)^c_j`` (the remainder category has ``c = 0``), divided by
+    the fold of the plain Poisson rows.  That denominator is the total mass
+    ``Pois(m; m)``; dividing by it rather than by its exact value cancels
+    the rounding the two folds share.  Cost O(d m^2), and refused with
+    :class:`SizeLimitError` when the fold multiplies more terms than the
+    lattice cap.  No lattice is enumerated.
+    """
+    x, m = query.x, query.m
+    counts = [query.indices.count(j + 1) for j in range(x.d)] + [0]
+    t = np.arange(m + 1)
+    what = f"central moment for (m={m}, d={x.d})"
+    centred = _poisson_fold(m, x, what, lambda j, rate, log_row: np.exp(log_row) * (t - rate) ** counts[j])
+    return centred / _poisson_fold(m, x, what, lambda j, rate, log_row: np.exp(log_row))
 
 
 def fourth_moment_scaling(

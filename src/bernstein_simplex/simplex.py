@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import SizeLimitError, ValidationError, _as_int, _as_order, _as_rea
 #: Tolerance used when validating simplex membership of a single point.
 COORD_TOLERANCE = 1e-12
 
-#: Refuse to enumerate lattices, build dense grids or fold power sums with more points, cells or terms than this.
+#: Refuse to enumerate lattices, build dense grids or run Poisson convolution folds with more points, cells or terms than this.
 MAX_LATTICE_SIZE = 10**8
 
 
@@ -178,6 +178,45 @@ def log_factorials(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Poisson convolution fold
+# ---------------------------------------------------------------------------
+
+def _poisson_log_row(big_m: int, rate: float) -> np.ndarray:
+    """``log Pois(t; rate)`` for ``t = 0..big_m``; a zero rate is the point mass at 0 (``0**0 == 1``)."""
+    if rate == 0.0:
+        row = np.full(big_m + 1, -np.inf)
+        row[0] = 0.0
+        return row
+    return np.arange(big_m + 1) * math.log(rate) - rate - log_factorials(big_m)
+
+
+def _poisson_fold(
+    big_m: int, x: SimplexPoint, what: str, weight: Callable[[int, float, np.ndarray], np.ndarray]
+) -> float:
+    """Entry ``big_m`` of the convolution of one weighted Poisson row per category of ``x``.
+
+    The categories are the d coordinates and the remainder ``x_{d+1} = 1 -
+    sum(x)``.  Category ``j`` has the rate ``big_m x_j`` and contributes the
+    row ``weight(j, rate, log Pois(t; rate))``, ``t = 0..big_m``.  Since
+    Multinomial(M, x)(k) is ``prod_j Pois(k_j; M x_j) / Pois(M; M)`` with
+    ``k_{d+1} = M - sum(k)``, the entry is a sum over every outcome of
+    Multinomial(big_m, x) without enumerating them: each convolution is
+    cut back to ``0..big_m`` and the last one is a single dot product.
+    Cost O(d M^2), memory O(d M).  The fold multiplies ``(d - 1) C(M + 2,
+    2)`` terms (``M + 1`` at d = 1); above the lattice cap it is refused
+    with :class:`SizeLimitError`, naming ``what``, before any row is built.
+    """
+    terms = big_m + 1 if x.d == 1 else (x.d - 1) * math.comb(big_m + 2, 2)
+    check_cap(terms, f"{what} folds {terms} terms")
+    rates = [big_m * share for share in (*x.coords, x.remainder)]
+    rows = [weight(j, rate, _poisson_log_row(big_m, rate)) for j, rate in enumerate(rates)]
+    folded = rows[0]
+    for row in rows[1:-1]:
+        folded = np.convolve(folded, row)[: big_m + 1]
+    return float(folded @ rows[-1][::-1])
+
+
+# ---------------------------------------------------------------------------
 # multinomial pmf
 # ---------------------------------------------------------------------------
 
@@ -191,10 +230,14 @@ def log_multinomial_pmf(karr: np.ndarray, m: int, x: SimplexPoint) -> np.ndarray
     karr = np.asarray(karr, dtype=np.int64)
     if karr.ndim != 2 or karr.shape[1] != x.d:
         raise ValidationError(f"index array of shape {karr.shape} needs {x.d} columns, one per coordinate")
-    ksum = karr.sum(axis=1)
-    if np.any(karr < 0) or np.any(ksum > m):
+    if np.any(karr < 0) or np.any(karr.sum(axis=1) > m):
         raise ValidationError("lattice indices must be >= 0 with sum <= m")
-    rem_k = m - ksum
+    return _log_multinomial_pmf(karr, m, x)
+
+
+def _log_multinomial_pmf(karr: np.ndarray, m: int, x: SimplexPoint) -> np.ndarray:
+    """:func:`log_multinomial_pmf` for an int64 ``karr`` whose rows are valid by construction; nothing is re-checked."""
+    rem_k = m - karr.sum(axis=1)
     lf = log_factorials(m)
     out = lf[m] - lf[karr].sum(axis=1) - lf[rem_k]
     for i, xi in enumerate(x.coords):

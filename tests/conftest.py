@@ -67,15 +67,27 @@ def multinomial_pmf_exact(k, m: int, x) -> float:
     return coef * prob
 
 
-@functools.lru_cache(maxsize=1)  # both powers at one (m, x) share one enumeration
-def _lattice_log_pmf(m: int, coords: tuple[float, ...]) -> np.ndarray:
+@functools.lru_cache(maxsize=1)  # the queries at one (m, x) share one enumeration
+def _lattice_log_pmf(m: int, coords: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     x = SimplexPoint.of(coords)
-    return log_multinomial_pmf(lattice_array(m, x.d), m, x)
+    karr = lattice_array(m, x.d)
+    return karr, log_multinomial_pmf(karr, m, x)
 
 
 def reference_pmf_power_sum(m: int, x, power: int) -> float:
     """Sum of the Multinomial(m - 1, x) probabilities raised to ``power``, by enumerating every lattice point."""
-    return float(np.exp(power * _lattice_log_pmf(m - 1, SimplexPoint.of(x).coords)).sum())
+    return float(np.exp(power * _lattice_log_pmf(m - 1, SimplexPoint.of(x).coords)[1]).sum())
+
+
+def reference_central_moment(m: int, x, indices) -> float:
+    """``E prod_{i in indices} (K_i - m x_i)`` for K ~ Multinomial(m, x), by enumerating every lattice point."""
+    x = SimplexPoint.of(x)
+    karr, logp = _lattice_log_pmf(m, x.coords)
+    centered = karr.astype(float) - m * x.array
+    product = np.ones(len(karr))
+    for i in indices:
+        product *= centered[:, i - 1]
+    return float(np.dot(product, np.exp(logp)))
 
 
 def chain_pmf_power_sum(m: int, x, power: int) -> float:

@@ -12,6 +12,7 @@ from bernstein_simplex import (
     pmf_square_diagnostics,
     run_experiment,
 )
+from bernstein_simplex import simplex
 from bernstein_simplex.cli import _build_parser, _colored, main
 
 
@@ -496,14 +497,28 @@ class TestMoments:
         assert brute == pytest.approx(0.48)
         assert diff < 1e-12
 
-    def test_order_four_enumeration_only(self, capsys):
+    def test_order_four_closed_form(self, capsys):
         code, out, _ = run_cli(
             ["moments", "--d", "1", "--m", "2", "--x", "0.5", "--indices", "1,1,1,1"],
             capsys,
         )
         assert code == 0
-        row = out.strip().splitlines()[1].split(",")
-        assert row[0] == "" and float(row[1]) == pytest.approx(0.5)
+        analytic, brute, diff = (float(v) for v in out.strip().splitlines()[1].split(","))
+        assert analytic == 0.5 and brute == pytest.approx(0.5) and diff == abs(analytic - brute)
+
+    @pytest.mark.parametrize("m,code", [(1000, 0), (9998, 0), (9999, 2)])
+    def test_reach_at_d3(self, capsys, monkeypatch, m, code):
+        # the fold over m + 1 values per category multiplies (d - 1) C(m + 2, 2) terms: past the cap of 1e8 at m = 9,999
+        if code:
+            monkeypatch.setattr(simplex, "_poisson_log_row", None)  # refused before any row is built
+        exit_code, out, err = run_cli(
+            ["moments", "--d", "3", "--m", str(m), "--x", "0.2,0.3,0.1", "--indices", "1,2,3"], capsys
+        )
+        assert exit_code == code
+        if code == 0:
+            assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(0.012 * m, rel=1e-9)
+        else:
+            assert out == "" and err == "error: central moment for (m=9999, d=3) folds 100010000 terms, exceeding the cap of 100000000\n"
 
     def test_coordinate_count_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -601,9 +616,9 @@ class TestStdoutGolden:
         "theory-cdf": "18abf0561e4ee91300b35eda17c08d2b6b58173e358f7659b59700fc34b0d547",
         "sums-d1": "c1accea9431d4b7f24865454aee9424700e75df09377f4c5238350b5266699ce",
         "sums-d2": "da6d24e0bb10d1ad7cf2a335f58dd106bf7ee01d22097d102db8e95646662cbf",
-        "moments-order2": "74bb763e6e9f5b17c2f3b8be811fa484fc320e92ff1aeec3012745ca4b4fc09c",
-        "moments-order3": "70045af3c5e38fe10c2dfd152622f40a885d1538eb633c2c0dce7f20ca691642",
-        "moments-order4": "e7091d26c279c91bfab406090d2a2ccebef74b031af2df91531df79099d2afea",
+        "moments-order2": "80c2810221cccb2745323c19a6f3f69253b01451a2f6c091d23ce4e121d6eda7",
+        "moments-order3": "d50cdce6cca410a15e97f6922c397d42618a4f4606f8ee039507a4b00f85386d",
+        "moments-order4": "439562d38f792df13014d24c11d9d083999b7c39cb02ed7c1dce12274c69fc17",
         "verify-threads1": "05190f514a45a62f2288d7efb9b69bd5bcc7bbcc4b318b6b2dd77618ce0e69e7",
         "verify-threads2": "05190f514a45a62f2288d7efb9b69bd5bcc7bbcc4b318b6b2dd77618ce0e69e7",
     }

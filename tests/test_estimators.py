@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bernstein_simplex import (
     Dataset,
+    HistogramCounts,
     SizeLimitError,
     ValidationError,
     bernstein_cdf,
@@ -299,6 +300,15 @@ class TestHistogram:
         with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
             histogram_counts(data, 2.5)
         assert histogram_counts(data, 4.0).cells.tolist() == histogram_counts(data, np.int64(4)).cells.tolist()
+
+    @pytest.mark.parametrize("cells", [[[1, 2]], [[-1, 0]], [[0, 0, 0]], [0, 1]])
+    def test_cells_off_the_density_lattice_are_refused(self, cells):
+        # density_from_counts weights the cells unchecked, so a hand-built histogram is checked when it is made
+        with pytest.raises(ValidationError, match="histogram cells must be rows of 2 indices >= 0 with sum <= m - 1 = 2"):
+            HistogramCounts(m=3, d=2, cells=np.array(cells), counts=np.ones(len(cells), dtype=np.int64))
+        hist = HistogramCounts(m=3, d=2, cells=[[0, 2], [1, 1]], counts=np.array([1, 1]))
+        assert hist.cells.dtype == np.int64
+        assert density_from_counts(hist, 2, (0.2, 0.3)) == bernstein_density(Dataset.from_points([[0.1, 0.9], [0.5, 0.5]]), 3, (0.2, 0.3))
 
 
 class TestGridCap:

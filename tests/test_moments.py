@@ -12,11 +12,26 @@ from bernstein_simplex import (
     fourth_moment_scaling,
 )
 
-from conftest import binom_pmf_exact
+from conftest import binom_pmf_exact, reference_central_moment
 
 
 def random_point(rng, d):
     return SimplexPoint.of(rng.dirichlet(np.ones(d + 1))[:d])
+
+
+def edge_and_interior_points(d, seed):
+    """Two random interior points, a face x_1 = 0, every vertex (the origin included) and a point with sum(x) = 1."""
+    rng = np.random.default_rng(seed)
+    face = rng.dirichlet(np.ones(d + 1))[:d]
+    face[0] = 0.0
+    full = rng.dirichlet(np.ones(d))
+    vertices = [tuple(float(i == j) for j in range(d)) for i in range(-1, d)]
+    return [*(random_point(rng, d) for _ in range(2)), SimplexPoint.of(face), *map(SimplexPoint.of, vertices),
+            SimplexPoint.of(full / full.sum())]
+
+
+def index_tuples(d, orders=(2, 3, 4)):
+    return [t for order in orders for t in itertools.product(range(1, d + 1), repeat=order)]
 
 
 class TestQueries:
@@ -36,11 +51,6 @@ class TestQueries:
     def test_index_range(self):
         with pytest.raises(ValidationError):
             MomentQuery(m=3, x=SimplexPoint.of((0.2, 0.3)), indices=(1, 3))
-
-    def test_order_four_has_no_closed_form(self):
-        query = MomentQuery(m=3, x=SimplexPoint.of(0.5), indices=(1, 1, 1, 1))
-        with pytest.raises(ValidationError):
-            central_moment_analytic(query)
 
 
 class TestClosedForms:
@@ -140,3 +150,49 @@ class TestFourthMoment:
     def test_requires_four_indices(self):
         with pytest.raises(ValidationError):
             fourth_moment_scaling((4, 8), 0.5, (1, 1))
+
+    def test_closed_form_matches_oracle(self):
+        for d in (1, 2, 3):
+            for x in edge_and_interior_points(d, 30 + d):
+                for m in (1, 2, 3, 6, 20):
+                    for indices in index_tuples(d, orders=(4,)):
+                        exact = reference_central_moment(m, x, indices)
+                        got = central_moment_analytic(MomentQuery(m=m, x=x, indices=indices))
+                        assert abs(got - exact) <= 1e-12 * max(abs(exact), m**2), (x, m, indices)
+
+    @pytest.mark.parametrize("indices", [(1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 3), (1, 2, 3, 3), (3, 3, 3, 3)])
+    def test_m_squared_coefficient(self, indices):
+        # the moment is m mu + m (m - 1) S, so its second difference in m is 2 S, with S from the covariances
+        x = SimplexPoint.of((0.2, 0.3, 0.1))
+        i, j, k, ell = indices
+        cov = lambda a, b: central_moment_analytic(MomentQuery(m=1, x=x, indices=(a, b)))  # noqa: E731
+        coefficient = cov(i, j) * cov(k, ell) + cov(i, k) * cov(j, ell) + cov(i, ell) * cov(j, k)
+        for moment in (central_moment_analytic, central_moment_bruteforce):
+            e = [moment(MomentQuery(m=m, x=x, indices=indices)) for m in (19, 20, 21)]
+            assert (e[0] - 2.0 * e[1] + e[2]) / 2.0 == pytest.approx(coefficient, rel=1e-10, abs=1e-12)
+
+
+class TestConvolutionFold:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_index_tuple_against_enumeration(self, d):
+        for x in edge_and_interior_points(d, 20 + d):
+            for m in (1, 2, 3, 6, 20, 60):
+                for indices in index_tuples(d):
+                    exact = reference_central_moment(m, x, indices)
+                    got = central_moment_bruteforce(MomentQuery(m=m, x=x, indices=indices))
+                    assert abs(got - exact) <= 1e-12 * max(abs(exact), m), (x, m, indices)
+
+    @pytest.mark.parametrize("indices", [(1, 2), (1, 2, 3)])
+    def test_benchmark_queries_against_mpmath(self, indices):
+        mpmath = pytest.importorskip("mpmath")
+        x, m = (0.2, 0.3, 0.1), 120
+        with mpmath.workdps(40):
+            shares = [mpmath.mpf(v) for v in x]
+            shares.append(1 - sum(shares))
+            trial = sum(share * mpmath.fprod((c == a - 1) - shares[a - 1] for a in indices) for c, share in enumerate(shares))
+            want = float(m * trial)
+        got = central_moment_bruteforce(MomentQuery(m=m, x=SimplexPoint.of(x), indices=indices))
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_zero_order(self):
+        assert central_moment_bruteforce(MomentQuery(m=0, x=SimplexPoint.of((0.2, 0.3)), indices=(1, 2, 2))) == 0.0
