@@ -43,7 +43,6 @@ from .estimators import (
     bernstein_cdf_many,
     bernstein_density,
     density_from_counts,
-    empirical_cdf,
     histogram_counts,
 )
 from .lattice_sums import (
@@ -56,7 +55,7 @@ from .lattice_sums import (
     pmf_square_sum_limit,
     sum_pmf_power,
 )
-from .models import DensityModel, derivative_check, dirichlet_model, uniform_model
+from .models import DensityModel, dirichlet_model, uniform_model
 from .moments import (
     MomentQuery,
     central_moment_analytic,
@@ -78,9 +77,7 @@ from .simplex import (
     SimplexPoint,
     lattice_array,
     lattice_size,
-    lattice_window,
     log_multinomial_pmf,
-    multinomial_pmf,
 )
 
 __version__ = "0.1.0"

@@ -142,12 +142,6 @@ def _point_of_dimension(x: "SimplexPoint | float | Sequence[float]", d: int, wha
     return x
 
 
-def empirical_cdf(data: Dataset, x: "SimplexPoint | float | Sequence[float]") -> float:
-    """Fraction of observations dominated by ``x`` in every coordinate (closed corner)."""
-    x = _point_of_dimension(x, data.d, "data")
-    return float(np.all(data.points <= x.array, axis=1).mean())
-
-
 def _upper_grid_index(points: np.ndarray, m: int) -> np.ndarray:
     """Per coordinate, the number of grid values ``j/m`` strictly below it.
 
@@ -235,23 +229,32 @@ class HistogramCounts:
             raise ValidationError(f"histogram cells must be rows of {self.d} indices >= 0 with sum <= m - 1 = {self.m - 1}")
         object.__setattr__(self, "cells", cells)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def histogram_counts(data: Dataset, m: int) -> HistogramCounts:
     """Assign each observation to its cube of side 1/m.
 
     The cube of ``x`` is one below its upper grid index, so ``x = k/m``
-    falls in the cube ``((k-1)/m, k/m]``, and 0 in the lowest cube.
+    falls in the cube ``((k-1)/m, k/m]``, and 0 in the lowest cube.  A
+    point whose coordinates sum to 1 only up to rounding can land one cube
+    past the order-(m - 1) lattice; that cube's largest index (the first
+    on a tie) is lowered by one.
     """
     m = _as_order(m, 1)
+    shape = (m,) * data.d
     cells = _upper_grid_index(data.points, m)
     cells -= 1
     np.maximum(cells, 0, out=cells)
     flat = _grid_counts(cells, m).ravel()
     keys = np.flatnonzero(flat)
-    cells = np.column_stack(np.unravel_index(keys, (m,) * data.d))
+    cells = np.column_stack(np.unravel_index(keys, shape))
+    over = cells.sum(axis=1) > m - 1
+    if over.any():
+        moved = cells[over]
+        moved[np.arange(len(moved)), moved.argmax(axis=1)] -= 1
+        np.add.at(flat, np.ravel_multi_index(tuple(moved.T), shape), flat[keys[over]])
+        flat[keys[over]] = 0
+        keys = np.flatnonzero(flat)
+        cells = np.column_stack(np.unravel_index(keys, shape))
     return HistogramCounts(m=m, d=data.d, cells=cells, counts=flat[keys])
 
 

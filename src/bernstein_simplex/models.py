@@ -175,46 +175,3 @@ def uniform_model(d: int) -> DensityModel:
     """The constant density d! on the d-dimensional simplex."""
     return dirichlet_model((1.0,) * (_as_int(d, "dimension d", least=1) + 1))
 
-
-# ---------------------------------------------------------------------------
-# derivative self-check
-# ---------------------------------------------------------------------------
-
-def derivative_check(
-    model: DensityModel,
-    seed: int = 0,
-    n_points: int = 20,
-    step: float = 1e-5,
-) -> float:
-    """Largest mismatch between analytic and central-difference derivatives.
-
-    Samples interior points away from the boundary, compares the gradient
-    and Hessian against central finite differences of the density, and
-    returns the worst relative error (with denominator floored at 1 so that
-    vanishing derivatives stay comparable).
-    """
-    rng = np.random.default_rng(seed)
-    d = model.d
-    worst = 0.0
-    margin = 4.0 * step * (d + 1)
-    for _ in range(n_points):
-        raw = rng.dirichlet(np.ones(d + 1))[:d]
-        x = margin + raw * (1.0 - 2.0 * margin * (d + 1))
-        grad = model.density_grad(x)
-        hess = model.density_hessian(x)
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = step
-            fd = (model.density(x + ei) - model.density(x - ei)) / (2 * step)
-            worst = max(worst, abs(fd - grad[i]) / max(1.0, abs(grad[i])))
-            for j in range(d):
-                ej = np.zeros(d)
-                ej[j] = step
-                fd2 = (
-                    model.density(x + ei + ej)
-                    - model.density(x + ei - ej)
-                    - model.density(x - ei + ej)
-                    + model.density(x - ei - ej)
-                ) / (4 * step * step)
-                worst = max(worst, abs(fd2 - hess[i, j]) / max(1.0, abs(hess[i, j])))
-    return worst

@@ -253,42 +253,3 @@ def _log_multinomial_pmf(karr: np.ndarray, m: int, x: SimplexPoint) -> np.ndarra
         out = np.where(rem_k > 0, -np.inf, out)
     return out
 
-
-def multinomial_pmf(k: Sequence[int], m: int, x: "SimplexPoint | Sequence[float]") -> float:
-    """Probability of outcome ``k`` under Multinomial(m, x).
-
-    Computed in log space from a cached log-factorial table, so large
-    orders stay finite.
-    """
-    x = SimplexPoint.of(x)
-    karr = np.asarray(k, dtype=np.int64).reshape(1, -1)
-    return float(np.exp(log_multinomial_pmf(karr, m, x)[0]))
-
-
-def _truncation_halfwidth(m: int, d: int, tol: float) -> float:
-    # Hoeffding: P(|k_i - m x_i| >= t) <= 2 exp(-2 t^2 / m); a union bound
-    # over the d coordinates keeps the dropped mass below tol.
-    return math.sqrt(0.5 * m * math.log(2.0 * d / tol))
-
-
-def lattice_window(m: int, x: "SimplexPoint | float | Sequence[float]", tol: float) -> np.ndarray:
-    """The lattice rows near ``m * x`` that carry all but ``tol`` of Multinomial(m, x).
-
-    Each coordinate keeps the indices within a Hoeffding half-width of
-    ``m * x_i``; the rows of that box with ``sum(k) <= m`` are returned as
-    an ``(N, d)`` int64 array, in the lexicographic order of
-    :func:`lattice_array`.  The mass dropped is
-    ``1 - exp(log_multinomial_pmf(rows, m, x)).sum()``, below ``tol``.
-    """
-    x = SimplexPoint.of(x)
-    m = _as_order(m, 0)
-    _as_real(tol, "truncation tolerance must be in (0, 1)", lambda v: 0 < v < 1)
-    w = _truncation_halfwidth(m, x.d, tol)
-    lo = [max(0, math.ceil(m * xi - w)) for xi in x.coords]
-    shape = [min(m, math.floor(m * xi + w)) + 1 - low for xi, low in zip(x.coords, lo)]
-    check_grid_size(shape)
-    box = np.indices(shape, dtype=np.int64).reshape(x.d, -1).T + lo
-    rows = box[box.sum(axis=1) <= m]
-    if len(rows) == 0:
-        raise ValidationError("truncation window is empty; loosen the tolerance")
-    return rows

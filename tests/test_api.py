@@ -5,8 +5,11 @@ to this file; the README lists retired names and their replacements.
 """
 
 import argparse
+import ast
 import importlib
 import pathlib
+import re
+import types
 
 import bernstein_simplex
 from bernstein_simplex.cli import _build_parser
@@ -28,19 +31,19 @@ PUBLIC = {
     "SizeLimitError", "ValidationError",
     # estimators
     "Dataset", "HistogramCounts", "bernstein_cdf", "bernstein_cdf_many", "bernstein_density",
-    "density_from_counts", "empirical_cdf", "histogram_counts",
+    "density_from_counts", "histogram_counts",
     # lattice_sums
     "SumDiagnostic", "min_coupling_diagnostics", "min_coupling_limit", "min_coupling_sum",
     "pmf_power_sum_scaled", "pmf_square_diagnostics", "pmf_square_sum_limit", "sum_pmf_power",
     # models
-    "DensityModel", "derivative_check", "dirichlet_model", "uniform_model",
+    "DensityModel", "dirichlet_model", "uniform_model",
     # moments
     "MomentQuery", "central_moment_analytic", "central_moment_bruteforce", "fourth_moment_scaling",
     # montecarlo
     "Experiment", "McResult", "McRow", "RateFit", "band_summary", "mc_bias_variance", "rate_fit",
     "run_experiment", "sample",
     # simplex
-    "SimplexPoint", "lattice_array", "lattice_size", "lattice_window", "log_multinomial_pmf", "multinomial_pmf",
+    "SimplexPoint", "lattice_array", "lattice_size", "log_multinomial_pmf",
 }
 
 #: retired name -> the module that used to define it
@@ -51,6 +54,16 @@ RETIRED = {
     "pmf_table": "simplex",
     "write_mc_csv": "montecarlo",
     "write_diagnostics_csv": "lattice_sums",
+    "derivative_check": "models",
+    "empirical_cdf": "estimators",
+    "multinomial_pmf": "simplex",
+    "lattice_window": "simplex",
+}
+
+#: public functions and classes that no module of the package uses: entry points for library callers only
+LIBRARY_ONLY = {
+    "density_m_opt", "density_m_opt_shoulder", "fourth_moment_scaling", "log_multinomial_pmf", "mc_bias_variance",
+    "min_coupling_limit", "pmf_power_sum_scaled", "rate_fit",
 }
 
 
@@ -62,6 +75,25 @@ def test_retired_names_are_gone():
     for name, module in RETIRED.items():
         assert not hasattr(bernstein_simplex, name)
         assert not hasattr(getattr(bernstein_simplex, module), name)
+
+
+def test_retired_names_are_documented():
+    readme = (pathlib.Path(bernstein_simplex.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    retired_list = readme.split("Retired names and their replacements:", 1)[1].split("\n\n", 2)[1]
+    assert [name for name in RETIRED if not re.search(rf"`(\w+\.)*{name}\b", retired_list)] == []
+
+
+def test_uncalled_public_names_are_pinned():
+    # a new public name that only tests call has to join LIBRARY_ONLY on purpose
+    package = pathlib.Path(bernstein_simplex.__file__).parent
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in package.glob("*.py") if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    defined = {name for name in PUBLIC if isinstance(getattr(bernstein_simplex, name), (type, types.FunctionType))}
+    assert defined - loaded == LIBRARY_ONLY
 
 
 def test_only_the_cli_writes_csv():

@@ -9,7 +9,6 @@ from bernstein_simplex import (
     ValidationError,
     bessel_i,
     dirichlet_model,
-    lattice_window,
     min_coupling_factor,
     min_coupling_sum,
     poisson_equal_probability,
@@ -77,12 +76,11 @@ def test_a_real_number_outside_the_rule_is_refused(value):
      lambda: BoundaryProfile(d=1, boundary={1: "1.0"}), lambda: BoundaryProfile(d=1, interior={1: "0.5"}),
      lambda: SimplexPoint.of("0.5"), lambda: SimplexPoint.of(True), lambda: SimplexPoint.of([0.2, True]),
      lambda: SimplexPoint.of(np.array([True, False])), lambda: SimplexPoint.of(np.array(["0.5"])),
-     lambda: SimplexPoint.of([0.2, None]), lambda: SimplexPoint((0.2, "0.3")), lambda: sum_pmf_power(10, True, 2),
-     lambda: lattice_window(5, [0.3], "0.01")],
+     lambda: SimplexPoint.of([0.2, None]), lambda: SimplexPoint((0.2, "0.3")), lambda: sum_pmf_power(10, True, 2)],
     ids=["alpha-bool", "alpha-strings", "bessel-string", "bessel-bool", "poisson-bool", "coupling-factor-string",
          "coupling-sum-string", "lambda-bool", "lambda-string", "interior-string", "point-string", "point-bool",
          "point-bool-in-list", "point-bool-array", "point-string-array", "point-object-array", "point-constructor",
-         "power-sum-bool-point", "window-string-tolerance"],
+         "power-sum-bool-point"],
 )
 def test_bools_and_strings_are_not_read_as_real_numbers(call):
     # each of these ran as a number (a bool as 0 or 1, a numeric string as its value) or ended in a raw TypeError

@@ -1,4 +1,6 @@
 import io
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from bernstein_simplex import (
     bernstein_cdf_many,
     bernstein_density,
     density_from_counts,
-    empirical_cdf,
     histogram_counts,
     sample,
 )
@@ -186,25 +187,6 @@ class TestCsvParity:
         assert want.tolist() == [[0.1], [0.2]]
 
 
-class TestEmpiricalCdf:
-    def test_closed_upper_corner(self):
-        data = Dataset.from_points([[0.2, 0.3]])
-        assert empirical_cdf(data, (0.2, 0.3)) == 1.0
-
-    def test_strict_failure_in_one_coordinate(self):
-        data = Dataset.from_points([[0.2, 0.3]])
-        assert empirical_cdf(data, (0.19, 0.3)) == 0.0
-
-    def test_hand_count(self):
-        data = Dataset.from_points([[0.1, 0.1], [0.4, 0.4], [0.2, 0.5]])
-        assert empirical_cdf(data, (0.3, 0.45)) == pytest.approx(1.0 / 3.0)
-
-    def test_dimension_mismatch(self):
-        data = Dataset.from_points([[0.2, 0.3]])
-        with pytest.raises(ValidationError):
-            empirical_cdf(data, (0.2,))
-
-
 class TestBernsteinCdf:
     def test_upper_corner_is_one(self):
         rng = np.random.default_rng(0)
@@ -287,7 +269,7 @@ class TestHistogram:
         data = Dataset.from_points(rng.dirichlet(np.ones(d + 1), size=300)[:, :d])
         for m in (1, 2, 7, 20):
             hist = histogram_counts(data, m)
-            assert hist.total() == data.n
+            assert int(hist.counts.sum()) == data.n
             assert hist.cells.dtype == np.int64 and hist.counts.dtype == np.int64
             assert hist.cells.shape == (len(hist.counts), d)
             assert np.all(hist.counts > 0)
@@ -310,6 +292,52 @@ class TestHistogram:
         assert hist.cells.dtype == np.int64
         assert density_from_counts(hist, 2, (0.2, 0.3)) == bernstein_density(Dataset.from_points([[0.1, 0.9], [0.5, 0.5]]), 3, (0.2, 0.3))
 
+    # the exact sum of this row is about 1 + 7e-17, so its cube (1, 2) lies one step past the order-2 lattice
+    ROUNDED_ONTO_FACE = [0.33333333333333337, 0.6666666666666667]
+
+    def test_row_rounded_onto_the_face_is_binned_on_the_lattice(self):
+        assert cube_counts([self.ROUNDED_ONTO_FACE], 3) == {(1, 1): 1}
+        data = Dataset.from_points([self.ROUNDED_ONTO_FACE])
+        assert bernstein_density(data, 3, (0.2, 0.3)) == bernstein_density(Dataset.from_points([[0.5, 0.5]]), 3, (0.2, 0.3))
+
+    @staticmethod
+    def stepped_face_rows(m, d):
+        """The lattice values k/m with sum(k) = m, each coordinate stepped 0 to 3 ulps upwards."""
+        face = np.array([k for k in itertools.product(range(m + 1), repeat=d) if sum(k) == m], dtype=float) / m
+        rows = []
+        for steps in itertools.product(range(4), repeat=d):
+            x = face.copy()
+            for i, step in enumerate(steps):
+                for _ in range(step):
+                    x[:, i] = np.nextafter(x[:, i], 1.0)
+            rows.append(x)
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("d,orders", [(2, range(1, 60)), (3, range(1, 25))])
+    def test_rows_past_the_lattice_move_one_step_back(self, d, orders):
+        past = 0
+        for m in orders:
+            data = Dataset.from_points(self.stepped_face_rows(m, d))
+            hist = histogram_counts(data, m)
+            assert int(hist.counts.sum()) == data.n
+            assert np.all(hist.cells.sum(axis=1) <= m - 1)
+            # point by point: the cube one below the upper grid index, past the lattice by at most one step,
+            # which comes off its largest index (the first on a tie)
+            cells = np.maximum(_upper_grid_index(data.points, m) - 1, 0)
+            over = np.flatnonzero(cells.sum(axis=1) > m - 1)
+            assert np.all(cells[over].sum(axis=1) == m)
+            cells[over, cells[over].argmax(axis=1)] -= 1
+            past += len(over)
+            assert dict(zip(map(tuple, hist.cells.tolist()), hist.counts.tolist())) == Counter(map(tuple, cells.tolist()))
+        assert past > 0
+
+    def test_cli_density_of_a_row_rounded_onto_the_face(self, tmp_path, capsys):
+        data, points = tmp_path / "row.csv", tmp_path / "points.csv"
+        data.write_text(",".join(map(repr, self.ROUNDED_ONTO_FACE)) + "\n")
+        points.write_text("0.2,0.3\n")
+        assert main(["estimate", "--data", str(data), "--m", "3", "--kind", "density", "--points", str(points)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "0.2,0.3,1.08"
+
 
 class TestGridCap:
     """Dense count grids are checked on their own cell count, not the lattice's."""
@@ -325,7 +353,7 @@ class TestGridCap:
         assert simplex.lattice_size(11, 3) == 364  # the order m - 1 lattice fits
         with pytest.raises(SizeLimitError):
             histogram_counts(data, 12)  # 12**3 = 1728 cells
-        assert histogram_counts(data, 10).total() == 2  # 10**3 = 1000 cells
+        assert int(histogram_counts(data, 10).counts.sum()) == 2  # 10**3 = 1000 cells
 
     def test_cdf_grid(self):
         data = Dataset.from_points(self.DATA)

@@ -15,14 +15,12 @@ from bernstein_simplex import (
     ValidationError,
     lattice_array,
     lattice_size,
-    lattice_window,
     log_multinomial_pmf,
-    multinomial_pmf,
 )
 from bernstein_simplex import simplex
 from bernstein_simplex.simplex import log_factorials
 
-from conftest import binom_pmf_exact, iter_lattice
+from conftest import binom_pmf_exact, iter_lattice, multinomial_pmf_exact
 
 
 def _scaled_to(raw: list[float], total: float) -> list[float]:
@@ -203,27 +201,36 @@ class TestLogFactorials:
             sys.setswitchinterval(interval)
 
 
+def pmf_over(karr, m, x):
+    return np.exp(log_multinomial_pmf(karr, m, SimplexPoint.of(x)))
+
+
+def pmf_at(k, m, x):
+    """The probability of the one outcome ``k``, spelled as the README's replacement for ``multinomial_pmf``."""
+    return pmf_over(np.atleast_2d(k), m, x)[0]
+
+
 class TestMultinomialPmf:
     def test_single_trial(self):
-        assert multinomial_pmf((1, 0), 1, (0.2, 0.3)) == pytest.approx(0.2, abs=1e-15)
+        assert pmf_at((1, 0), 1, (0.2, 0.3)) == pytest.approx(0.2, abs=1e-15)
 
     def test_remaining_mass(self):
-        assert multinomial_pmf((0, 0), 1, (0.2, 0.3)) == pytest.approx(0.5, abs=1e-15)
+        assert pmf_at((0, 0), 1, (0.2, 0.3)) == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_value(self):
-        assert multinomial_pmf((1, 1), 3, (0.2, 0.3)) == pytest.approx(0.18, abs=1e-15)
+        assert pmf_at((1, 1), 3, (0.2, 0.3)) == pytest.approx(0.18, abs=1e-15)
 
     def test_precondition(self):
         with pytest.raises(ValidationError):
-            multinomial_pmf((2, 2), 3, (0.2, 0.3))
+            pmf_at((2, 2), 3, (0.2, 0.3))
 
     def test_boundary_conventions(self):
         # zero coordinate: outcomes needing it have probability 0, others renormalize
-        assert multinomial_pmf((1, 0), 2, (0.0, 0.5)) == 0.0
-        assert multinomial_pmf((0, 1), 2, (0.0, 0.5)) == pytest.approx(0.5)
+        assert pmf_at((1, 0), 2, (0.0, 0.5)) == 0.0
+        assert pmf_at((0, 1), 2, (0.0, 0.5)) == pytest.approx(0.5)
         # saturated point: the remainder category is impossible
-        assert multinomial_pmf((0,), 2, (1.0,)) == 0.0
-        assert multinomial_pmf((2,), 2, (1.0,)) == 1.0
+        assert pmf_at((0,), 2, (1.0,)) == 0.0
+        assert pmf_at((2,), 2, (1.0,)) == 1.0
 
     @pytest.mark.parametrize("m,d", [(5, 1), (30, 1), (12, 2), (30, 2), (9, 3), (30, 3)])
     def test_normalization(self, m, d):
@@ -234,30 +241,8 @@ class TestMultinomialPmf:
             assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_no_underflow_at_large_order(self):
-        value = multinomial_pmf((250,), 500, (0.5,))
-        assert np.isfinite(value) and value > 0.0
-
-
-def pmf_over(karr, m, x):
-    return np.exp(log_multinomial_pmf(karr, m, SimplexPoint.of(x)))
-
-
-def check_window(m, x, tol):
-    """``lattice_window`` against the in-window rows of the full lattice and their pmf."""
-    full = lattice_array(m, len(x))
-    # Hoeffding half-width with a union bound over the d coordinates
-    w = math.sqrt(0.5 * m * math.log(2.0 * len(x) / tol))
-    mx = m * np.asarray(x)
-    keep = np.all((full >= mx - w) & (full <= mx + w), axis=1)
-    rows = lattice_window(m, x, tol)
-    assert rows.dtype == np.int64 and 0 < len(rows) < len(full)
-    np.testing.assert_array_equal(rows, full[keep])
-    full_probs = pmf_over(full, m, x)
-    probs = pmf_over(rows, m, x)
-    assert probs.tolist() == full_probs[keep].tolist()
-    dropped = 1.0 - probs.sum()
-    assert dropped <= tol
-    assert dropped == pytest.approx(full_probs[~keep].sum(), abs=1e-12)
+        value = pmf_at((250,), 500, (0.5,))
+        assert np.isfinite(value) and value == pytest.approx(multinomial_pmf_exact((250,), 500, (0.5,)), rel=1e-12)
 
 
 class TestPmfTable:
@@ -277,29 +262,3 @@ class TestPmfTable:
             for p in range(d):
                 marginal = np.bincount(karr[:, p], weights=probs, minlength=13)
                 np.testing.assert_allclose(marginal, binom_pmf_exact(12, x[p]), atol=1e-10)
-
-    def test_truncation_keeps_requested_mass(self):
-        check_window(50, (0.3, 0.3), 1e-8)
-
-    def test_truncated_sum_invariant(self):
-        check_window(80, (0.2, 0.5), 1e-6)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValidationError):
-            lattice_window(10, 0.5, 2.0)
-
-
-class TestLatticeWindow:
-    @pytest.mark.parametrize("m,x,tol", [(120, (0.05, 0.4, 0.3), 1e-4), (200, (0.0,), 1e-3), (60, (0.5, 0.5), 1e-2)])
-    def test_rows_mass_and_probabilities(self, m, x, tol):
-        check_window(m, x, tol)
-
-    @pytest.mark.parametrize("m,tol", [(10, 0.0), (10, 1.0), (10, -1e-3), (-1, 0.1)])
-    def test_bad_order_or_tolerance(self, m, tol):
-        with pytest.raises(ValidationError):
-            lattice_window(m, 0.5, tol)
-
-    def test_non_integer_order_is_refused(self):
-        with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
-            lattice_window(2.5, [0.3], 0.01)
-        assert lattice_window(40.0, [0.3], 0.01).tolist() == lattice_window(40, [0.3], 0.01).tolist()
