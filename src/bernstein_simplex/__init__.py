@@ -38,12 +38,10 @@ from .bessel import (
 from .errors import SizeLimitError, ValidationError
 from .estimators import (
     Dataset,
-    HistogramCounts,
     bernstein_cdf,
     bernstein_cdf_many,
     bernstein_density,
-    density_from_counts,
-    histogram_counts,
+    bernstein_density_many,
 )
 from .lattice_sums import (
     SumDiagnostic,

@@ -245,18 +245,13 @@ def _boundary_factor(profile: BoundaryProfile, lead: float = 1.0) -> float:
     return lead * psi(profile.slice_point(), profile.interior) * prod
 
 
-def _variance_factor(model: DensityModel, profile: BoundaryProfile) -> float:
-    """The m- and n-free part of the leading variance term."""
-    return _boundary_factor(profile, float(model.density(profile.slice_point())))
-
-
 def _density_variance(
     model: DensityModel, profile: BoundaryProfile, m: float, n: float
 ) -> tuple[float, float]:
     """The leading variance term at ``(m, n)`` and its m- and n-free factor."""
     _check_model(model, profile)
     _check_mn(m, n)
-    vfactor = _variance_factor(model, profile)
+    vfactor = _boundary_factor(profile, float(model.density(profile.slice_point())))
     return m ** (0.5 * (profile.d + profile.j_size)) / n * vfactor, vfactor
 
 

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .asymptotics import BoundaryProfile, cdf_mse, density_mse, density_mse_shoulder
 from .errors import SizeLimitError, ValidationError, _as_int, _check_mn
-from .estimators import Dataset, bernstein_cdf_many, density_from_counts, histogram_counts
+from .estimators import Dataset, bernstein_cdf_many, bernstein_density_many
 from .lattice_sums import min_coupling_diagnostics, pmf_square_diagnostics
 from .moments import MomentQuery, central_moment_analytic, central_moment_bruteforce
 from .montecarlo import Experiment, McRow, _check_kind, band_summary, build_model, model_spec, run_experiment
@@ -130,11 +130,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         data = Dataset.from_csv(args.data)
     with _reading("--points", args.points):
         points = Dataset.from_csv(args.points, d=data.d)
-    if args.kind == "density":
-        counts = histogram_counts(data, args.m)
-        values = [density_from_counts(counts, data.n, row) for row in points.points]
-    else:
-        values = bernstein_cdf_many(data, args.m, points.points)
+    estimate = bernstein_density_many if args.kind == "density" else bernstein_cdf_many
+    values = estimate(data, args.m, points.points)
     header = [f"x{i + 1}" for i in range(data.d)] + ["estimate"]
     _write_rows(header, ([*row, value] for row, value in zip(points.points, values)))
     return 0
@@ -150,10 +147,13 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     estimator = cfg.get("estimator", "density")
     _check_kind(estimator, "config field 'estimator'")
     _check_mn(cfg["m"], cfg["n"])
+    shoulder = cfg.get("shoulder", False)
+    if not isinstance(shoulder, bool):
+        raise ValidationError(f"config field 'shoulder' must be true or false, got {shoulder!r}")
     m, n = float(cfg["m"]), float(cfg["n"])
     if estimator == "cdf":
         report = cdf_mse(model, profile, m, n)
-    elif cfg.get("shoulder", False):
+    elif shoulder:
         report = density_mse_shoulder(model, profile, m, n)
     else:
         report = density_mse(model, profile, m, n)

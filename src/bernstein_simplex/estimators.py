@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_int, _as_order, _as_sample_size
-from .simplex import SimplexPoint, _log_multinomial_pmf, _validated_points, check_grid_size, check_lattice_size, lattice_array
+from .errors import ValidationError, _as_int, _as_order
+from .simplex import SimplexPoint, _log_multinomial_pmf, _validated_points, check_grid_size, lattice_array
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
@@ -134,11 +134,11 @@ class Dataset:
         return self.points.shape[1]
 
 
-def _point_of_dimension(x: "SimplexPoint | float | Sequence[float]", d: int, what: str) -> SimplexPoint:
-    """``SimplexPoint.of(x)``, checked to have the dimension ``d`` of the ``what`` it is evaluated on."""
+def _point_of_dimension(x: "SimplexPoint | float | Sequence[float]", d: int) -> SimplexPoint:
+    """``SimplexPoint.of(x)``, checked to have the dimension ``d`` of the data it is evaluated on."""
     x = SimplexPoint.of(x)
     if x.d != d:
-        raise ValidationError(f"point dimension {x.d} does not match {what} dimension {d}")
+        raise ValidationError(f"point dimension {x.d} does not match data dimension {d}")
     return x
 
 
@@ -170,6 +170,15 @@ def _grid_counts(index: np.ndarray, side: int) -> np.ndarray:
     return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
+def _weighted_sums(cells: np.ndarray, values: np.ndarray, order: int, xs: Sequence[SimplexPoint]) -> np.ndarray:
+    """At each of ``xs``, the sum of ``values`` weighted by the Multinomial(``order``, x) pmf of their ``cells``.
+
+    The rows of ``cells`` must lie on the order-``order`` lattice; they are
+    not checked again.
+    """
+    return np.array([np.dot(values, np.exp(_log_multinomial_pmf(cells, order, x))) for x in xs], dtype=float)
+
+
 def bernstein_cdf_many(
     data: Dataset, m: int, points: "Iterable[SimplexPoint | float | Sequence[float]]"
 ) -> np.ndarray:
@@ -183,13 +192,12 @@ def bernstein_cdf_many(
     every coordinate.
     """
     m = _as_order(m, 1)
-    xs = [_point_of_dimension(x, data.d, "data") for x in points]
+    xs = [_point_of_dimension(x, data.d) for x in points]
     below = _grid_counts(_upper_grid_index(data.points, m), m + 1)
     for axis in range(data.d):
         np.cumsum(below, axis=axis, out=below)
     karr = lattice_array(m, data.d)
-    values = below[tuple(karr.T)] / data.n
-    return np.array([np.dot(values, np.exp(_log_multinomial_pmf(karr, m, x))) for x in xs], dtype=float)
+    return _weighted_sums(karr, below[tuple(karr.T)] / data.n, m, xs)
 
 
 def bernstein_cdf(data: Dataset, m: int, x: "SimplexPoint | float | Sequence[float]") -> float:
@@ -204,42 +212,19 @@ def bernstein_cdf(data: Dataset, m: int, x: "SimplexPoint | float | Sequence[flo
     return float(bernstein_cdf_many(data, m, [x])[0])
 
 
-@dataclass(frozen=True, eq=False)
-class HistogramCounts:
-    """Counts of observations per half-open cube ``(k/m, (k+1)/m]``.
+def _cube_counts(data: Dataset, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied cubes ``(k/m, (k+1)/m]`` of the data and their counts.
 
-    ``cells`` is a ``(K, d)`` int64 array of the occupied cubes' indices
-    ``k``, in lexicographic order, and ``counts`` the ``(K,)`` int64 array
-    of their counts.  Points with a coordinate exactly 0 sit on a lower
-    cube face, which the half-open convention would leave unassigned; they
-    are counted in the lowest cube of that coordinate so the counts always
-    sum to n.  Every cell must lie on the order-(m - 1) lattice (indices
-    >= 0, sum <= m - 1), where :func:`density_from_counts` weights it
-    without a further check; any other cell is refused here.
+    Returns a ``(K, d)`` int64 array of the cubes' indices ``k``, in
+    lexicographic order, and the ``(K,)`` int64 array of their counts,
+    which sum to n.  The cube of ``x`` is one below its upper grid index,
+    so ``x = k/m`` falls in the cube ``((k-1)/m, k/m]``, and a coordinate
+    0, which the half-open convention would leave unassigned, in the
+    lowest cube.  A point whose coordinates sum to 1 only up to rounding
+    can land one cube past the order-(m - 1) lattice; that cube's largest
+    index (the first on a tie) is lowered by one, so every cube lies on
+    that lattice.
     """
-
-    m: int
-    d: int
-    cells: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=np.int64)
-        if cells.ndim != 2 or cells.shape[1] != self.d or (cells < 0).any() or (cells.sum(axis=1) > self.m - 1).any():
-            raise ValidationError(f"histogram cells must be rows of {self.d} indices >= 0 with sum <= m - 1 = {self.m - 1}")
-        object.__setattr__(self, "cells", cells)
-
-
-def histogram_counts(data: Dataset, m: int) -> HistogramCounts:
-    """Assign each observation to its cube of side 1/m.
-
-    The cube of ``x`` is one below its upper grid index, so ``x = k/m``
-    falls in the cube ``((k-1)/m, k/m]``, and 0 in the lowest cube.  A
-    point whose coordinates sum to 1 only up to rounding can land one cube
-    past the order-(m - 1) lattice; that cube's largest index (the first
-    on a tie) is lowered by one.
-    """
-    m = _as_order(m, 1)
     shape = (m,) * data.d
     cells = _upper_grid_index(data.points, m)
     cells -= 1
@@ -255,25 +240,29 @@ def histogram_counts(data: Dataset, m: int) -> HistogramCounts:
         flat[keys[over]] = 0
         keys = np.flatnonzero(flat)
         cells = np.column_stack(np.unravel_index(keys, shape))
-    return HistogramCounts(m=m, d=data.d, cells=cells, counts=flat[keys])
+    return cells, flat[keys]
+
+
+def bernstein_density_many(
+    data: Dataset, m: int, points: "Iterable[SimplexPoint | float | Sequence[float]]"
+) -> np.ndarray:
+    """:func:`bernstein_density` at each of ``points``, as one array.
+
+    The data are binned once, in ``O(n + m^d)``, into the cubes of side
+    1/m; after that each point costs only the Multinomial(m - 1) weights
+    of the occupied cubes.
+    """
+    m = _as_order(m, 1)
+    xs = [_point_of_dimension(x, data.d) for x in points]
+    cells, counts = _cube_counts(data, m)
+    return m**data.d * _weighted_sums(cells, counts / data.n, m - 1, xs)
 
 
 def bernstein_density(data: Dataset, m: int, x: "SimplexPoint | float | Sequence[float]") -> float:
     """Histogram of mesh 1/m smoothed with weights of order m - 1, at ``x``.
 
     Nonnegative everywhere; for m = 1 it degenerates to the constant 1 on
-    the whole simplex.
+    the whole simplex.  To evaluate many points, use
+    :func:`bernstein_density_many`.
     """
-    counts = histogram_counts(data, m)
-    return density_from_counts(counts, data.n, x)
-
-
-def density_from_counts(
-    counts: HistogramCounts, n: int, x: "SimplexPoint | float | Sequence[float]"
-) -> float:
-    """Evaluate the density estimator from precomputed cube counts of a sample of size ``n``."""
-    n = _as_sample_size(n)
-    x = _point_of_dimension(x, counts.d, "histogram")
-    check_lattice_size(counts.m - 1, counts.d)
-    logp = _log_multinomial_pmf(counts.cells, counts.m - 1, x)
-    return float(counts.m ** counts.d * np.dot(counts.counts / n, np.exp(logp)))
+    return float(bernstein_density_many(data, m, [x])[0])

@@ -231,9 +231,6 @@ class Experiment:
         except KeyError as missing:
             raise ValidationError(f"experiment config is missing {missing}") from None
 
-    def build_model(self) -> DensityModel:
-        return build_model(self.model_name, self.model_params)
-
 
 @dataclass(frozen=True)
 class McResult:
@@ -250,7 +247,7 @@ def run_experiment(experiment: Experiment, threads: int = 1) -> McResult:
     a cell that cannot be evaluated fails before any sampling.
     """
     threads = _as_int(threads, "'threads'", least=1)
-    model = experiment.build_model()
+    model = build_model(experiment.model_name, experiment.model_params)
     grid = itertools.product(experiment.m_grid, experiment.n_grid)
     cells = [_setup(model, experiment.profile, m, n, experiment.kind) for m, n in grid]
     seeds = [int(np.random.SeedSequence(entropy=(experiment.seed, idx)).generate_state(1)[0]) for idx in range(len(cells))]

@@ -1,6 +1,7 @@
 import csv
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -154,6 +155,25 @@ def reference_density_1d(data: np.ndarray, m: int, x: float) -> float:
             count = np.sum((data > lo) & (data <= hi))
         total += m * (count / n) * math.comb(m - 1, k) * x**k * (1.0 - x) ** (m - 1 - k)
     return total
+
+
+def reference_density(data: np.ndarray, m: int, x) -> float:
+    """Direct smoothed-histogram density in any dimension, binning row by row.
+
+    A coordinate's cube index is the number of float grid values ``j/m``
+    strictly below it, minus one, clamped at 0: the cube ``((k-1)/m, k/m]``
+    of ``x = k/m``, the "x <= k/m" comparison of :func:`reference_cdf`.  A
+    cube whose indices sum to m, reached by a row that sums to 1 only up to
+    rounding, has its largest index (the first on a tie) lowered by one.
+    """
+    data = np.asarray(data, dtype=float)
+    counts = Counter()
+    for row in data:
+        k = [max(sum(j / m < v for j in range(m + 1)) - 1, 0) for v in row]
+        if sum(k) == m:
+            k[k.index(max(k))] -= 1
+        counts[tuple(k)] += 1
+    return m ** data.shape[1] * sum(c / len(data) * multinomial_pmf_exact(k, m - 1, x) for k, c in counts.items())
 
 
 def simplex_integral_2d(f, cells: int) -> float:

@@ -73,19 +73,18 @@ class TestEstimate:
             x_text, est_text = line.split(",")
             assert float(est_text) == bernstein_cdf(data, 8, float(x_text))
 
-    def test_density_matches_library(self, data_csv, points_csv, capsys):
-        from bernstein_simplex import Dataset, bernstein_density
+    @pytest.mark.parametrize("kind", ["density", "cdf"])
+    def test_matches_library(self, data_csv, points_csv, capsys, kind):
+        from bernstein_simplex import Dataset, bernstein_cdf_many, bernstein_density_many
 
         code, out, _ = run_cli(
-            ["estimate", "--data", data_csv, "--m", "10", "--kind", "density",
-             "--points", points_csv],
-            capsys,
+            ["estimate", "--data", data_csv, "--m", "10", "--kind", kind, "--points", points_csv], capsys
         )
         assert code == 0
-        data = Dataset.from_csv(data_csv)
-        for line in out.strip().splitlines()[1:]:
-            x_text, est_text = line.split(",")
-            assert float(est_text) == bernstein_density(data, 10, float(x_text))
+        points = Dataset.from_csv(points_csv).points
+        many = bernstein_density_many if kind == "density" else bernstein_cdf_many
+        values = many(Dataset.from_csv(data_csv), 10, points)
+        assert out.splitlines() == ["x1,estimate"] + [f"{x!r},{v!r}" for (x,), v in zip(points.tolist(), values.tolist())]
 
     def test_bad_row_names_row(self, tmp_path, points_csv, capsys):
         bad = tmp_path / "bad.csv"
@@ -196,6 +195,22 @@ class TestTheory:
         assert code == 0
         report = json.loads(out)
         assert "interior case" in report["m_opt"]
+
+    # Dirichlet(2,2,2) at full J, where "shoulder": true selects the reduced-bias report
+    FULL_J = {"model": {"name": "dirichlet", "alpha": [2, 2, 2]}, "profile": {"d": 2, "boundary": {"1": 1.0, "2": 0.5}},
+              "m": 50, "n": 100000}
+
+    @pytest.mark.parametrize("shoulder", ["false", 1, None], ids=["string", "int", "null"])
+    def test_shoulder_must_be_a_bool(self, tmp_path, capsys, shoulder):
+        config = self.write_config(tmp_path, dict(self.FULL_J, shoulder=shoulder))
+        message = f"error: config field 'shoulder' must be true or false, got {shoulder!r}\n"
+        assert run_cli(["theory", "--config", config], capsys) == (1, "", message)
+
+    def test_false_shoulder_is_the_default_report(self, tmp_path, capsys):
+        argv, payload = GOLDEN_CASES["theory-density"]
+        code, out, _ = run_cli(_golden_argv((argv, dict(payload, shoulder=False)), tmp_path), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TestStdoutGolden.DIGESTS["theory-density"]
 
     def test_missing_key(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"model": {"name": "uniform", "d": 1}})

@@ -9,22 +9,27 @@ from hypothesis import strategies as st
 
 from bernstein_simplex import (
     Dataset,
-    HistogramCounts,
     SizeLimitError,
     ValidationError,
     bernstein_cdf,
     bernstein_cdf_many,
     bernstein_density,
-    density_from_counts,
-    histogram_counts,
+    bernstein_density_many,
     sample,
 )
 
 from bernstein_simplex import simplex
 from bernstein_simplex.cli import main
-from bernstein_simplex.estimators import _loadtxt_points, _upper_grid_index
+from bernstein_simplex.estimators import _cube_counts, _loadtxt_points, _upper_grid_index
 
-from conftest import reference_cdf, reference_cdf_1d, reference_density_1d, reference_read_csv, simplex_integral_2d
+from conftest import (
+    reference_cdf,
+    reference_cdf_1d,
+    reference_density,
+    reference_density_1d,
+    reference_read_csv,
+    simplex_integral_2d,
+)
 
 
 class TestDataset:
@@ -241,8 +246,8 @@ class TestUpperGridIndex:
 
 
 def cube_counts(rows, m):
-    hist = histogram_counts(Dataset.from_points(rows), m)
-    return dict(zip(map(tuple, hist.cells.tolist()), hist.counts.tolist()))
+    cells, counts = _cube_counts(Dataset.from_points(rows), m)
+    return dict(zip(map(tuple, cells.tolist()), counts.tolist()))
 
 
 class TestHistogram:
@@ -268,29 +273,20 @@ class TestHistogram:
         rng = np.random.default_rng(10 + d)
         data = Dataset.from_points(rng.dirichlet(np.ones(d + 1), size=300)[:, :d])
         for m in (1, 2, 7, 20):
-            hist = histogram_counts(data, m)
-            assert int(hist.counts.sum()) == data.n
-            assert hist.cells.dtype == np.int64 and hist.counts.dtype == np.int64
-            assert hist.cells.shape == (len(hist.counts), d)
-            assert np.all(hist.counts > 0)
-            assert np.all(hist.cells.sum(axis=1) <= m - 1)
-            cells = [tuple(k) for k in hist.cells.tolist()]
-            assert cells == sorted(set(cells))
+            cells, counts = _cube_counts(data, m)
+            assert int(counts.sum()) == data.n
+            assert cells.dtype == np.int64 and counts.dtype == np.int64
+            assert cells.shape == (len(counts), d)
+            assert np.all(counts > 0)
+            assert np.all(cells.sum(axis=1) <= m - 1)
+            keys = [tuple(k) for k in cells.tolist()]
+            assert keys == sorted(set(keys))
 
     def test_non_integer_order_is_refused(self):
         data = Dataset.from_points([[0.3], [0.6]])
         with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
-            histogram_counts(data, 2.5)
-        assert histogram_counts(data, 4.0).cells.tolist() == histogram_counts(data, np.int64(4)).cells.tolist()
-
-    @pytest.mark.parametrize("cells", [[[1, 2]], [[-1, 0]], [[0, 0, 0]], [0, 1]])
-    def test_cells_off_the_density_lattice_are_refused(self, cells):
-        # density_from_counts weights the cells unchecked, so a hand-built histogram is checked when it is made
-        with pytest.raises(ValidationError, match="histogram cells must be rows of 2 indices >= 0 with sum <= m - 1 = 2"):
-            HistogramCounts(m=3, d=2, cells=np.array(cells), counts=np.ones(len(cells), dtype=np.int64))
-        hist = HistogramCounts(m=3, d=2, cells=[[0, 2], [1, 1]], counts=np.array([1, 1]))
-        assert hist.cells.dtype == np.int64
-        assert density_from_counts(hist, 2, (0.2, 0.3)) == bernstein_density(Dataset.from_points([[0.1, 0.9], [0.5, 0.5]]), 3, (0.2, 0.3))
+            bernstein_density_many(data, 2.5, [0.5])
+        assert bernstein_density_many(data, 4.0, [0.1, 0.5]).tolist() == bernstein_density_many(data, np.int64(4), [0.1, 0.5]).tolist()
 
     # the exact sum of this row is about 1 + 7e-17, so its cube (1, 2) lies one step past the order-2 lattice
     ROUNDED_ONTO_FACE = [0.33333333333333337, 0.6666666666666667]
@@ -318,9 +314,9 @@ class TestHistogram:
         past = 0
         for m in orders:
             data = Dataset.from_points(self.stepped_face_rows(m, d))
-            hist = histogram_counts(data, m)
-            assert int(hist.counts.sum()) == data.n
-            assert np.all(hist.cells.sum(axis=1) <= m - 1)
+            hist_cells, hist_counts = _cube_counts(data, m)
+            assert int(hist_counts.sum()) == data.n
+            assert np.all(hist_cells.sum(axis=1) <= m - 1)
             # point by point: the cube one below the upper grid index, past the lattice by at most one step,
             # which comes off its largest index (the first on a tie)
             cells = np.maximum(_upper_grid_index(data.points, m) - 1, 0)
@@ -328,7 +324,7 @@ class TestHistogram:
             assert np.all(cells[over].sum(axis=1) == m)
             cells[over, cells[over].argmax(axis=1)] -= 1
             past += len(over)
-            assert dict(zip(map(tuple, hist.cells.tolist()), hist.counts.tolist())) == Counter(map(tuple, cells.tolist()))
+            assert dict(zip(map(tuple, hist_cells.tolist()), hist_counts.tolist())) == Counter(map(tuple, cells.tolist()))
         assert past > 0
 
     def test_cli_density_of_a_row_rounded_onto_the_face(self, tmp_path, capsys):
@@ -352,8 +348,8 @@ class TestGridCap:
         data = Dataset.from_points(self.DATA)
         assert simplex.lattice_size(11, 3) == 364  # the order m - 1 lattice fits
         with pytest.raises(SizeLimitError):
-            histogram_counts(data, 12)  # 12**3 = 1728 cells
-        assert int(histogram_counts(data, 10).counts.sum()) == 2  # 10**3 = 1000 cells
+            _cube_counts(data, 12)  # 12**3 = 1728 cells
+        assert int(_cube_counts(data, 10)[1].sum()) == 2  # 10**3 = 1000 cells
 
     def test_cdf_grid(self):
         data = Dataset.from_points(self.DATA)
@@ -399,35 +395,32 @@ class TestBernsteinDensity:
 
     def test_counts_reuse_matches_direct(self, beta22):
         data = sample(beta22, 200, seed=6)
-        from bernstein_simplex import histogram_counts as hc
-
-        counts = hc(data, 15)
-        for x in (0.1, 0.5, 0.9):
-            assert density_from_counts(counts, data.n, x) == bernstein_density(data, 15, x)
-
-    @pytest.mark.parametrize("n", [0, -3, 2.5])
-    def test_counts_need_a_sample_size(self, beta22, n):
-        counts = histogram_counts(sample(beta22, 50, seed=6), 10)
-        with pytest.raises(ValidationError, match="sample size"):
-            density_from_counts(counts, n, 0.5)
+        xs = (0.1, 0.5, 0.9)
+        assert bernstein_density_many(data, 15, xs).tolist() == [bernstein_density(data, 15, x) for x in xs]
 
     def test_integrates_to_one_1d(self, beta22):
         data = sample(beta22, 2000, seed=7)
-        counts = histogram_counts(data, 25)
         grid = (np.arange(400) + 0.5) / 400
-        integral = np.mean([density_from_counts(counts, data.n, x) for x in grid])
+        integral = np.mean(bernstein_density_many(data, 25, grid))
         assert abs(integral - 1.0) <= 0.05
 
     def test_integrates_to_one_2d(self, dir222):
         data = sample(dir222, 2000, seed=8)
-        counts = histogram_counts(data, 20)
-        integral = simplex_integral_2d(
-            lambda x: density_from_counts(counts, data.n, x), cells=40
-        )
+        integral = simplex_integral_2d(lambda x: bernstein_density_many(data, 20, [x])[0], cells=40)
         assert abs(integral - 1.0) <= 0.05
 
 
 class TestCdfMany:
+    """The ``_many`` function of one estimator against its oracle and its one-point function.
+
+    :class:`TestDensityMany` runs the same cases on the density.
+    """
+
+    many = staticmethod(bernstein_cdf_many)
+    one = staticmethod(bernstein_cdf)
+    reference = staticmethod(reference_cdf)
+    volume_scaled = False  # the density is a cube count times m^d, and so is its rounding error
+
     @staticmethod
     def lattice_valued_data():
         rng = np.random.default_rng(21)
@@ -441,32 +434,40 @@ class TestCdfMany:
         raw = self.lattice_valued_data()
         data = Dataset.from_points(raw)
         for m in (1, 7, 14, 25):
-            values = bernstein_cdf_many(data, m, self.POINTS)
-            expected = [reference_cdf(raw, m, x) for x in self.POINTS]
-            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-14)
+            values = self.many(data, m, self.POINTS)
+            expected = [self.reference(raw, m, x) for x in self.POINTS]
+            atol = 1e-14 * (m**data.d if self.volume_scaled else 1)
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=atol)
 
     def test_matches_per_point_evaluation(self):
         data = Dataset.from_points(self.lattice_valued_data())
-        values = bernstein_cdf_many(data, 14, self.POINTS)
-        assert values.tolist() == [bernstein_cdf(data, 14, x) for x in self.POINTS]
+        values = self.many(data, 14, self.POINTS)
+        assert values.tolist() == [self.one(data, 14, x) for x in self.POINTS]
 
     def test_points_as_rows_of_an_array(self):
         data = Dataset.from_points(self.lattice_valued_data())
         rows = np.array(self.POINTS)
-        assert bernstein_cdf_many(data, 9, rows).tolist() == bernstein_cdf_many(data, 9, self.POINTS).tolist()
-        assert bernstein_cdf_many(data, 9, []).shape == (0,)
+        assert self.many(data, 9, rows).tolist() == self.many(data, 9, self.POINTS).tolist()
+        assert self.many(data, 9, []).shape == (0,)
 
     def test_rejects_bad_order_and_dimension(self):
         data = Dataset.from_points(self.lattice_valued_data())
         with pytest.raises(ValidationError):
-            bernstein_cdf_many(data, 0, self.POINTS)
+            self.many(data, 0, self.POINTS)
         with pytest.raises(ValidationError):
-            bernstein_cdf_many(data, 5, [(0.2, 0.2), (0.3,)])
+            self.many(data, 5, [(0.2, 0.2), (0.3,)])
 
     def test_non_integer_order_is_refused(self):
         data = Dataset.from_points(self.lattice_valued_data())
         with pytest.raises(ValidationError, match="order m must be an integer, got 2.5"):
-            bernstein_cdf_many(data, 2.5, self.POINTS)
+            self.many(data, 2.5, self.POINTS)
+
+
+class TestDensityMany(TestCdfMany):
+    many = staticmethod(bernstein_density_many)
+    one = staticmethod(bernstein_density)
+    reference = staticmethod(reference_density)
+    volume_scaled = True
 
 
 class TestUnivariateCrossCheck:
