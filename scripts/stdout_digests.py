@@ -19,7 +19,9 @@ exited the same way and printed the same bytes.
 and prints one line per call whose output differs: for stdout, per column
 (a CSV column, or the path of a number in a JSON document), the largest
 relative difference among its numeric cells and the row it is in.  The
-last line counts the calls that are identical.
+last line counts the calls that are identical.  It exits 0 when every
+call is, and 1 when any call differs in exit code, stdout or stderr, or
+the two checkouts make different numbers of calls.
 """
 
 import argparse
@@ -130,7 +132,7 @@ def _compare(root: str, other: str) -> int:
         else:
             same += 1
     print(f"identical {same} of {len(runs[1])} calls ({len(runs[0])} at {other})")
-    return 0
+    return 0 if same == len(runs[0]) == len(runs[1]) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError, _as_real
 
+#: Both expansions stop at the first term below this share of their partial sum.
 DEFAULT_TOL = 1e-14
 
 #: Arguments at and above this use the large-argument expansion; the series
@@ -33,15 +34,13 @@ class BesselValue:
     remainder_bound: float
 
 
-def _check_arguments(nu: int, z: float, tol: float) -> None:
+def _check_arguments(nu: int, z: float) -> None:
     if nu not in (0, 1):
         raise ValidationError(f"order must be 0 or 1, got {nu}")
-    # written so that NaN fails them too
-    _as_real(z, "argument must be >= 0", lambda v: v >= 0)
-    _as_real(tol, "tolerance must be positive", lambda v: v > 0)
+    _as_real(z, "argument must be >= 0", lambda v: v >= 0)  # written so that NaN fails it too
 
 
-def _series(nu: int, z: float, tol: float) -> BesselValue:
+def _series(nu: int, z: float) -> BesselValue:
     if z == 0.0:
         return BesselValue(order=nu, argument=0.0, value=1.0 if nu == 0 else 0.0,
                            terms_used=1, remainder_bound=0.0)
@@ -52,27 +51,22 @@ def _series(nu: int, z: float, tol: float) -> BesselValue:
     while True:
         next_term = term * half_sq / ((k + 1) * (k + 1 + nu))
         # an exact 0 means every later term underflows too (subnormal z)
-        if next_term == 0.0 or next_term < tol * total:
+        if next_term == 0.0 or next_term < DEFAULT_TOL * total:
             ratio = half_sq / ((k + 2) * (k + 2 + nu))
             remainder = next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
-            return BesselValue(
-                order=nu,
-                argument=float(z),
-                value=total,
-                terms_used=k + 1,
-                remainder_bound=remainder,
-            )
+            return BesselValue(order=nu, argument=float(z), value=total, terms_used=k + 1,
+                               remainder_bound=remainder)
         term = next_term
         total += term
         k += 1
 
 
-def _asymptotic_scaled(nu: int, z: float, tol: float) -> BesselValue:
+def _asymptotic_scaled(nu: int, z: float) -> BesselValue:
     """``e^{-z} I_nu(z)`` from A&S 9.7.1, for ``z >= ASYMPTOTIC_FROM``.
 
     ``sqrt(2 pi z) e^{-z} I_nu(z) ~ sum_k c_k`` with ``c_0 = 1`` and
     ``c_{k+1} = c_k ((2k+1)^2 - 4 nu^2) / (8 (k+1) z)``.  The sum stops once
-    a term falls below ``tol`` times the partial sum, or would stop
+    a term falls below ``DEFAULT_TOL`` times the partial sum, or would stop
     shrinking.  The remainder is bounded by ``2 chi(l) exp(chi(1) |nu^2 -
     1/4| / z)`` times the first omitted term, ``chi(l) = sqrt(pi)
     Gamma(l/2 + 1) / Gamma(l/2 + 1/2)``: Olver's bound for the Hankel
@@ -85,7 +79,7 @@ def _asymptotic_scaled(nu: int, z: float, tol: float) -> BesselValue:
     k = 0
     while True:
         next_term = term * ((2 * k + 1) ** 2 - mu) / (8.0 * (k + 1) * z)
-        if abs(next_term) < tol * abs(total) or abs(next_term) >= abs(term):
+        if abs(next_term) < DEFAULT_TOL * abs(total) or abs(next_term) >= abs(term):
             break
         term = next_term
         total += term
@@ -94,29 +88,24 @@ def _asymptotic_scaled(nu: int, z: float, tol: float) -> BesselValue:
     chi = math.sqrt(math.pi) * math.exp(math.lgamma(used / 2 + 1) - math.lgamma(used / 2 + 0.5))
     factor = 2.0 * chi * math.exp(0.5 * math.pi * abs(nu * nu - 0.25) / z)
     norm = math.sqrt(2.0 * math.pi * z)
-    return BesselValue(
-        order=nu,
-        argument=float(z),
-        value=total / norm,
-        terms_used=used,
-        remainder_bound=factor * abs(next_term) / norm,
-    )
+    return BesselValue(order=nu, argument=float(z), value=total / norm, terms_used=used,
+                       remainder_bound=factor * abs(next_term) / norm)
 
 
-def bessel_i(nu: int, z: float, tol: float = DEFAULT_TOL) -> BesselValue:
+def bessel_i(nu: int, z: float) -> BesselValue:
     """Evaluate I_nu(z) = sum_k (z/2)^(2k+nu) / (k! (k+nu)!) for nu in {0, 1}.
 
-    The series is truncated once the next term falls below ``tol`` times the
-    partial sum, or is exactly 0; since successive term ratios decrease,
-    the dropped tail is bounded by a geometric series and recorded in
-    ``remainder_bound``.  From ``ASYMPTOTIC_FROM`` on, the value is
+    The series is truncated once the next term falls below ``DEFAULT_TOL``
+    times the partial sum, or is exactly 0; since successive term ratios
+    decrease, the dropped tail is bounded by a geometric series and recorded
+    in ``remainder_bound``.  From ``ASYMPTOTIC_FROM`` on, the value is
     ``e^z`` times :func:`bessel_i_scaled`; where that overflows a float,
     :class:`ValidationError` is raised.
     """
-    _check_arguments(nu, z, tol)
+    _check_arguments(nu, z)
     if z < ASYMPTOTIC_FROM:
-        return _series(nu, z, tol)
-    scaled = _asymptotic_scaled(nu, z, tol)
+        return _series(nu, z)
+    scaled = _asymptotic_scaled(nu, z)
     # e^z overflows before I_nu(z) does, so apply it in two halves
     try:
         half = math.exp(0.5 * z)
@@ -129,17 +118,17 @@ def bessel_i(nu: int, z: float, tol: float = DEFAULT_TOL) -> BesselValue:
                        remainder_bound=scaled.remainder_bound * half * half)
 
 
-def bessel_i_scaled(nu: int, z: float, tol: float = DEFAULT_TOL) -> BesselValue:
+def bessel_i_scaled(nu: int, z: float) -> BesselValue:
     """Evaluate ``e^{-z} I_nu(z)``, finite on the whole domain ``z >= 0``.
 
     Below ``ASYMPTOTIC_FROM`` this is ``e^{-z}`` times the series of
     :func:`bessel_i`; from there on it is the large-argument expansion.
     The remainder bound is on the same scale as the value.
     """
-    _check_arguments(nu, z, tol)
+    _check_arguments(nu, z)
     if z >= ASYMPTOTIC_FROM:
-        return _asymptotic_scaled(nu, z, tol)
-    series = _series(nu, z, tol)
+        return _asymptotic_scaled(nu, z)
+    series = _series(nu, z)
     decay = math.exp(-z)
     return BesselValue(order=nu, argument=float(z), value=decay * series.value,
                        terms_used=series.terms_used, remainder_bound=decay * series.remainder_bound)

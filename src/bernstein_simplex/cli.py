@@ -32,7 +32,7 @@ from .errors import SizeLimitError, ValidationError, _as_int, _check_mn
 from .estimators import Dataset, bernstein_cdf_many, bernstein_density_many
 from .lattice_sums import min_coupling_diagnostics, pmf_square_diagnostics
 from .moments import MomentQuery, central_moment_analytic, central_moment_bruteforce
-from .montecarlo import Experiment, McRow, _check_kind, band_summary, build_model, model_spec, run_experiment
+from .montecarlo import _BAND_WIDTH, Experiment, McRow, _check_kind, band_summary, build_model, model_spec, run_experiment
 from .simplex import SimplexPoint
 
 
@@ -131,7 +131,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     with _reading("--points", args.points):
         points = Dataset.from_csv(args.points, d=data.d)
     estimate = bernstein_density_many if args.kind == "density" else bernstein_cdf_many
-    values = estimate(data, args.m, points.points)
+    values = estimate(data, args.m, points)
     header = [f"x{i + 1}" for i in range(data.d)] + ["estimate"]
     _write_rows(header, ([*row, value] for row, value in zip(points.points, values)))
     return 0
@@ -170,7 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for line in lines:
         print(line, file=sys.stderr)
     verdict = "PASS" if ok else "FAIL"
-    print(_colored(f"overall: {verdict} (3-SE bands)", ok, sys.stderr), file=sys.stderr)
+    print(_colored(f"overall: {verdict} ({_BAND_WIDTH}-SE bands)", ok, sys.stderr), file=sys.stderr)
     return 0
 
 

@@ -123,7 +123,9 @@ class Dataset:
         points = _loadtxt_points(text, d)
         if points is None:
             points = _read_csv_rows(io.StringIO(text, newline=""), d)
-        return cls(points)
+        dataset = object.__new__(cls)  # the rows passed the simplex rule once, under CSV_TOLERANCE; not again
+        object.__setattr__(dataset, "points", points)
+        return dataset
 
     @property
     def n(self) -> int:
@@ -134,12 +136,15 @@ class Dataset:
         return self.points.shape[1]
 
 
-def _point_of_dimension(x: "SimplexPoint | float | Sequence[float]", d: int) -> SimplexPoint:
-    """``SimplexPoint.of(x)``, checked to have the dimension ``d`` of the data it is evaluated on."""
-    x = SimplexPoint.of(x)
-    if x.d != d:
-        raise ValidationError(f"point dimension {x.d} does not match data dimension {d}")
-    return x
+def _evaluation_rows(points: "Dataset | Iterable[SimplexPoint | float | Sequence[float]]", d: int) -> list:
+    """The rows of ``points``, each checked to have the data's dimension ``d``: a Dataset's as they are, else by ``SimplexPoint.of``."""
+    rows = points.points.tolist() if isinstance(points, Dataset) else (SimplexPoint.of(x).coords for x in points)
+    checked = []
+    for row in rows:
+        if len(row) != d:
+            raise ValidationError(f"point dimension {len(row)} does not match data dimension {d}")
+        checked.append(row)
+    return checked
 
 
 def _upper_grid_index(points: np.ndarray, m: int) -> np.ndarray:
@@ -170,17 +175,17 @@ def _grid_counts(index: np.ndarray, side: int) -> np.ndarray:
     return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
-def _weighted_sums(cells: np.ndarray, values: np.ndarray, order: int, xs: Sequence[SimplexPoint]) -> np.ndarray:
+def _weighted_sums(cells: np.ndarray, values: np.ndarray, order: int, xs: Sequence[Sequence[float]]) -> np.ndarray:
     """At each of ``xs``, the sum of ``values`` weighted by the Multinomial(``order``, x) pmf of their ``cells``.
 
-    The rows of ``cells`` must lie on the order-``order`` lattice; they are
-    not checked again.
+    ``xs`` are coordinate rows on the simplex and the rows of ``cells`` lie
+    on the order-``order`` lattice; neither is checked again.
     """
     return np.array([np.dot(values, np.exp(_log_multinomial_pmf(cells, order, x))) for x in xs], dtype=float)
 
 
 def bernstein_cdf_many(
-    data: Dataset, m: int, points: "Iterable[SimplexPoint | float | Sequence[float]]"
+    data: Dataset, m: int, points: "Dataset | Iterable[SimplexPoint | float | Sequence[float]]"
 ) -> np.ndarray:
     """:func:`bernstein_cdf` at each of ``points``, as one array.
 
@@ -192,7 +197,7 @@ def bernstein_cdf_many(
     every coordinate.
     """
     m = _as_order(m, 1)
-    xs = [_point_of_dimension(x, data.d) for x in points]
+    xs = _evaluation_rows(points, data.d)
     below = _grid_counts(_upper_grid_index(data.points, m), m + 1)
     for axis in range(data.d):
         np.cumsum(below, axis=axis, out=below)
@@ -244,7 +249,7 @@ def _cube_counts(data: Dataset, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bernstein_density_many(
-    data: Dataset, m: int, points: "Iterable[SimplexPoint | float | Sequence[float]]"
+    data: Dataset, m: int, points: "Dataset | Iterable[SimplexPoint | float | Sequence[float]]"
 ) -> np.ndarray:
     """:func:`bernstein_density` at each of ``points``, as one array.
 
@@ -253,7 +258,7 @@ def bernstein_density_many(
     of the occupied cubes.
     """
     m = _as_order(m, 1)
-    xs = [_point_of_dimension(x, data.d) for x in points]
+    xs = _evaluation_rows(points, data.d)
     cells, counts = _cube_counts(data, m)
     return m**data.d * _weighted_sums(cells, counts / data.n, m - 1, xs)
 

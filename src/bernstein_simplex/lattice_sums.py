@@ -73,8 +73,8 @@ def min_coupling_sum(m: int, x_p: float) -> float:
     ``E[min(K, L)] = sum_t P(K >= t)^2`` and is always <= 0.
     """
     m = _as_order(m, 1)
-    _as_real(x_p, "x_p must lie strictly in (0, 1)", lambda v: 0 < v < 1)
-    pmf = np.exp(_log_multinomial_pmf(lattice_array(m, 1), m, SimplexPoint.of([x_p])))
+    x_p = _as_real(x_p, "x_p must lie strictly in (0, 1)", lambda v: 0 < v < 1)
+    pmf = np.exp(_log_multinomial_pmf(lattice_array(m, 1), m, (x_p,)))
     # survival[t] = P(K >= t); reversed cumsum avoids cancellation in the tail
     survival = np.cumsum(pmf[::-1])[::-1]
     e_min = float(np.sum(survival[1:] ** 2))

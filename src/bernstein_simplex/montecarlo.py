@@ -29,6 +29,9 @@ from .estimators import Dataset, bernstein_cdf, bernstein_density
 from .models import DensityModel, dirichlet_model, uniform_model
 from .simplex import SimplexPoint
 
+#: Half-width of the theory bands of :func:`band_summary`, in standard errors; the verify summary names it.
+_BAND_WIDTH = 3
+
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """The random stream of one replicate; independent of execution order."""
@@ -255,19 +258,19 @@ def run_experiment(experiment: Experiment, threads: int = 1) -> McResult:
     return McResult(experiment=experiment, rows=rows)
 
 
-def band_summary(result: McResult, width: float = 3.0) -> tuple[bool, list[str]]:
-    """Check each empirical bias and variance against ``width``-SE theory bands."""
+def band_summary(result: McResult) -> tuple[bool, list[str]]:
+    """Check each empirical bias and variance against theory bands of ``_BAND_WIDTH`` standard errors."""
     lines = []
     all_ok = True
     for row in result.rows:
-        bias_ok = abs(row.bias - row.theory_bias) <= width * row.bias_se
-        var_ok = abs(row.var - row.theory_var) <= width * row.var_se
+        bias_ok = abs(row.bias - row.theory_bias) <= _BAND_WIDTH * row.bias_se
+        var_ok = abs(row.var - row.theory_var) <= _BAND_WIDTH * row.var_se
         all_ok &= bias_ok and var_ok
         lines.append(
             f"m={row.m} n={row.n}: bias {'PASS' if bias_ok else 'FAIL'} "
-            f"(|{row.bias:.3e} - {row.theory_bias:.3e}| vs {width:.0f}*{row.bias_se:.3e}), "
+            f"(|{row.bias:.3e} - {row.theory_bias:.3e}| vs {_BAND_WIDTH}*{row.bias_se:.3e}), "
             f"var {'PASS' if var_ok else 'FAIL'} "
-            f"(|{row.var:.3e} - {row.theory_var:.3e}| vs {width:.0f}*{row.var_se:.3e})"
+            f"(|{row.var:.3e} - {row.theory_var:.3e}| vs {_BAND_WIDTH}*{row.var_se:.3e})"
         )
     return all_ok, lines
 

@@ -232,24 +232,19 @@ def log_multinomial_pmf(karr: np.ndarray, m: int, x: SimplexPoint) -> np.ndarray
         raise ValidationError(f"index array of shape {karr.shape} needs {x.d} columns, one per coordinate")
     if np.any(karr < 0) or np.any(karr.sum(axis=1) > m):
         raise ValidationError("lattice indices must be >= 0 with sum <= m")
-    return _log_multinomial_pmf(karr, m, x)
+    return _log_multinomial_pmf(karr, m, x.coords)
 
 
-def _log_multinomial_pmf(karr: np.ndarray, m: int, x: SimplexPoint) -> np.ndarray:
-    """:func:`log_multinomial_pmf` for an int64 ``karr`` whose rows are valid by construction; nothing is re-checked."""
+def _log_multinomial_pmf(karr: np.ndarray, m: int, coords: Sequence[float]) -> np.ndarray:
+    """:func:`log_multinomial_pmf` at a simplex point's ``coords``, for an int64 ``karr`` valid by construction; nothing is re-checked."""
     rem_k = m - karr.sum(axis=1)
     lf = log_factorials(m)
     out = lf[m] - lf[karr].sum(axis=1) - lf[rem_k]
-    for i, xi in enumerate(x.coords):
-        ki = karr[:, i]
+    # the d coordinates, then the remainder category with SimplexPoint.remainder's arithmetic
+    for ki, xi in zip((*karr.T, rem_k), (*coords, max(0.0, 1.0 - sum(coords)))):
         if xi > 0.0:
             out = out + ki * math.log(xi)
         else:
             out = np.where(ki > 0, -np.inf, out)
-    rem_x = x.remainder
-    if rem_x > 0.0:
-        out = out + rem_k * math.log(rem_x)
-    else:
-        out = np.where(rem_k > 0, -np.inf, out)
     return out
 

@@ -7,9 +7,25 @@ import numpy as np
 import pytest
 
 from bernstein_simplex import (
-    Dataset, SimplexPoint, ValidationError, dirichlet_model, lattice_array, log_multinomial_pmf, uniform_model,
+    SimplexPoint, ValidationError, dirichlet_model, lattice_array, log_multinomial_pmf, uniform_model,
 )
+from bernstein_simplex import estimators, simplex
 from bernstein_simplex.estimators import CSV_TOLERANCE, _validated_points
+
+
+@pytest.fixture()
+def simplex_passes(monkeypatch):
+    """A list that gets one entry per pass of the simplex rule, however the rule is reached."""
+    calls = []
+    rule = simplex._validated_points
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rule(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_validated_points", counted)
+    monkeypatch.setattr(estimators, "_validated_points", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")
@@ -244,4 +260,4 @@ def reference_read_csv(source, d=None) -> np.ndarray:
         lines.append(lineno)
     if not rows:
         raise ValidationError("no data rows found")
-    return Dataset(_validated_points(np.asarray(rows, dtype=float), CSV_TOLERANCE, lines)).points
+    return _validated_points(np.asarray(rows, dtype=float), CSV_TOLERANCE, lines)

@@ -14,6 +14,7 @@ from bernstein_simplex import (
 )
 from bernstein_simplex import simplex
 from bernstein_simplex.cli import _build_parser, _colored, main
+from conftest import reference_cdf, reference_density
 
 
 @pytest.fixture()
@@ -119,6 +120,37 @@ class TestEstimate:
         # the CLI keeps no copy of these rules; the error line is the library's
         code, out, err = run_cli([*argv, "--data", data_csv, "--points", points_csv], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class TestEstimateOnePass:
+    """``estimate`` checks each row of ``--data`` and ``--points`` once, and evaluates the points it prints."""
+
+    # one pass rescales this row to [0.38461538461538464, 0.6153846153846155], a second pass would move it again
+    ROW = "0.3846153846153848,0.6153846153846158\n"
+
+    def test_data_row_is_binned_after_one_pass(self, tmp_path, capsys):
+        data, points = tmp_path / "data.csv", tmp_path / "points.csv"
+        data.write_text(self.ROW)
+        points.write_text("0.3,0.6\n")
+        code, out, _ = run_cli(["estimate", "--data", str(data), "--m", "13", "--kind", "density",
+                                "--points", str(points)], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == "0.3,0.6,11.38117039488001"
+
+    @pytest.mark.parametrize("kind,reference", [("density", reference_density), ("cdf", reference_cdf)])
+    def test_printed_points_are_the_evaluated_ones(self, tmp_path, capsys, simplex_passes, kind, reference):
+        raw = [[0.1, 0.2], [0.3, 0.6], [0.5, 0.25], [0.05, 0.9]]
+        data, points = tmp_path / "data.csv", tmp_path / "points.csv"
+        data.write_text("".join(f"{a!r},{b!r}\n" for a, b in raw))
+        points.write_text("x1,x2\n" + self.ROW + "0.2,0.3\n")
+        code, out, _ = run_cli(["estimate", "--data", str(data), "--m", "13", "--kind", kind,
+                                "--points", str(points)], capsys)
+        assert code == 0
+        assert len(simplex_passes) == 2  # one per file
+        rows = [[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[0.38461538461538464, 0.6153846153846155], [0.2, 0.3]]
+        for *x, value in rows:
+            assert value == pytest.approx(reference(np.array(raw), 13, x), rel=1e-12, abs=1e-12)
 
 
 class TestEstimateGolden:

@@ -192,6 +192,51 @@ class TestCsvParity:
         assert want.tolist() == [[0.1], [0.2]]
 
 
+class TestOnePassPerRow:
+    """Every input row passes the simplex rule once, where it enters; a second pass can move its last bits."""
+
+    # one pass rescales this row to a sum of 1.0000000000000002, a second pass would rescale it again
+    ROW = [0.3846153846153848, 0.6153846153846158]
+
+    def test_csv_and_array_rows_are_bit_identical(self):
+        from_csv = Dataset.from_csv(io.StringIO(",".join(map(repr, self.ROW)) + "\n"))
+        from_points = Dataset.from_points([self.ROW])
+        assert from_csv.points.tobytes() == from_points.points.tobytes()
+        assert from_csv.points.tolist() == [[0.38461538461538464, 0.6153846153846155]]
+        for estimate in (bernstein_density, bernstein_cdf):
+            assert estimate(from_csv, 13, (0.3, 0.6)) == estimate(from_points, 13, (0.3, 0.6))
+        assert bernstein_density(from_csv, 13, (0.3, 0.6)) == 11.38117039488001
+
+    @pytest.mark.parametrize("text", ["x1,x2\n0.1,0.2\n0.3,0.3\n", '"x1","x2"\n0.1,0.2\n0.3,0.3\n'],
+                             ids=["one-pass-parser", "row-reader"])
+    def test_csv_rows_pass_once(self, simplex_passes, text):
+        points = Dataset.from_csv(io.StringIO(text)).points
+        assert len(simplex_passes) == 1
+        assert not points.flags.writeable
+
+    def test_array_rows_and_samples_pass_once(self, simplex_passes, beta22):
+        Dataset(np.array([[0.1, 0.2]]))
+        Dataset.from_points([[0.1, 0.2]])
+        sample(beta22, 5, seed=1)
+        assert len(simplex_passes) == 3
+
+    def test_points_dataset_is_evaluated_as_it_is(self, simplex_passes):
+        data = Dataset.from_points([self.ROW, [0.2, 0.1]])
+        points = Dataset.from_points([self.ROW, [0.3, 0.6]])
+        bernstein_density_many(data, 13, points)
+        bernstein_cdf_many(data, 13, points)
+        assert len(simplex_passes) == 2
+        bernstein_cdf_many(data, 13, points.points)  # any other iterable goes point by point through SimplexPoint.of
+        assert len(simplex_passes) == 4
+
+    def test_points_dataset_dimension_is_checked(self):
+        data = Dataset.from_points([[0.1, 0.2]])
+        with pytest.raises(ValidationError, match="point dimension 1 does not match data dimension 2"):
+            bernstein_cdf_many(data, 4, Dataset.from_points([[0.1]]))
+        with pytest.raises(ValidationError, match="point dimension 3 does not match data dimension 2"):
+            bernstein_density_many(data, 4, Dataset.from_points([[0.1, 0.2, 0.3]]))
+
+
 class TestBernsteinCdf:
     def test_upper_corner_is_one(self):
         rng = np.random.default_rng(0)
