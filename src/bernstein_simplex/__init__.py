@@ -16,7 +16,6 @@ from .asymptotics import (
     cdf_mse,
     cdf_variance_boundary,
     density_bias_boundary,
-    density_bias_terms,
     density_m_opt,
     density_m_opt_shoulder,
     density_mse,

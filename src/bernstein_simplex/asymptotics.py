@@ -9,10 +9,11 @@ metadata strings and never added into returned numbers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -151,41 +152,46 @@ def psi(x: "SimplexPoint | float | Sequence[float]", subset: Iterable[int]) -> f
 
 
 # ---------------------------------------------------------------------------
-# density estimator: bias
+# bias of both estimators
 # ---------------------------------------------------------------------------
 
-def density_bias_terms(model: DensityModel, x: "SimplexPoint | float | Sequence[float]") -> tuple[float, float]:
-    """First and second bias coefficients of the density estimator at ``x``.
+def _bias_brackets(
+    derivative: Callable[[int], np.ndarray], xs: np.ndarray, lam: np.ndarray, cube: bool
+) -> tuple[float, float]:
+    """``(b1, b2)`` with ``E phi(Y) - phi(x) = b1/m + b2/m^2 + O(m^-3)`` at ``x = xs + lam/m``.
 
-    The estimator's mean is ``f(x) + c1/m + c2/m^2`` plus lower order; this
-    returns ``(c1, c2)`` from the model's gradient and Hessian.
+    ``derivative(r)`` is phi's tensor of r-th derivatives at the slice point xs.  For the
+    density (``cube``) phi = f and ``Y = (K + U)/m``, K ~ Multinomial(m - 1, x), U uniform on
+    the unit cube; for the cdf phi = F and ``Y = K/m``, K ~ Multinomial(m, x).  With
+    ``s = 1/2 - xs`` and ``sigma = diag(xs) - xs xs^T``, ``Y - x`` has the moments ``s/m - lam/m^2``,
+    ``sigma/m + (diag(lam) - lam xs^T - xs lam^T + s s^T + I/12 - sigma)/m^2``,
+    ``(mu3 + 3 sym(sigma s))/m^2`` and ``3 sym(sigma sigma)/m^2``; the cdf has s = 0 and drops
+    the ``-lam/m^2``, ``I/12`` and ``-sigma`` terms.
     """
-    pt = SimplexPoint.of(x).array
-    grad = np.asarray(model.density_grad(pt), dtype=float)
-    hess = np.asarray(model.density_hessian(pt), dtype=float)
-    d = len(pt)
-    delta1 = float(np.dot(0.5 - pt, grad)) + _covariance_term(pt, hess, np.ones(d, dtype=bool))
-    coeff2 = (
-        _m2_coefficients(np.zeros(d))
-        - 0.5 * pt[:, None] * np.eye(d)
-        - 0.5 * pt[None, :]
-        + np.outer(pt, pt)
-    )
-    delta2 = float(np.sum(coeff2 * hess))
-    return delta1, delta2
+    grad, hess = derivative(1), derivative(2)
+    w = 1.0 if cube else 0.0
+    s, eye = w * (0.5 - xs), np.eye(len(xs))
+    sigma = xs * eye - np.outer(xs, xs)
+    b1 = np.dot(grad, s) + 0.5 * np.vdot(hess, sigma)
+    # the Hessian's coefficients, with lam^T H s and the cross terms folded onto one side
+    coef = 0.5 * lam * eye + np.outer(s - xs, lam) + 0.5 * (np.outer(s, s) + w * (eye / 12.0 - sigma))
+    b2 = -w * np.dot(grad, lam) + np.vdot(coef, hess)
+    if xs.any():  # at full J sigma and mu3 vanish, and with them the terms of orders 3 and 4
+        third, fourth = derivative(3), derivative(4)
+        dev = np.eye(len(xs) + 1, len(xs)) - xs  # a trial's one-hot vector minus its mean, per category
+        # moments._trial_moment of every index triple, as one tensor
+        mu3 = np.einsum("c,ci,cj,ck->ijk", np.append(xs, 1.0 - xs.sum()), dev, dev, dev)
+        b2 += (0.5 * np.einsum("ijk,ij,k->", third, sigma, lam + s) + np.vdot(third, mu3) / 6.0
+               + np.einsum("ijkl,ij,kl->", fourth, sigma, sigma) / 8.0)
+    return float(b1), float(b2)
 
 
-def _covariance_term(x: np.ndarray, hess: np.ndarray, mask: np.ndarray) -> float:
-    """``1/2 sum_ij (x_i delta_ij - x_i x_j) hess_ij`` over the coordinates in ``mask``."""
-    sub = x[mask]
-    cov = sub[:, None] * np.eye(len(sub)) - np.outer(sub, sub)
-    return 0.5 * float(np.sum(cov * hess[np.ix_(mask, mask)]))
-
-
-def _m2_coefficients(lam: np.ndarray) -> np.ndarray:
-    """Coefficients of the m^-2 bias bracket: ``(1/6 + lam_i) delta_ij + (1/8 + lam_j/2)(1 - delta_ij)``."""
-    eye = np.eye(len(lam))
-    return (1.0 / 6.0 + lam[:, None]) * eye + (0.125 + 0.5 * lam[None, :]) * (1.0 - eye)
+def _derivatives(model: DensityModel, kind: str, x: np.ndarray) -> Callable[[int], np.ndarray]:
+    """``r ->`` the r-th derivative tensor of ``kind``, density or cdf, at x, evaluated on first use."""
+    fns = [getattr(model, f"{kind}_{order}") for order in ("grad", "hessian", "third", "fourth")]
+    if None in fns:
+        raise ValidationError(f"model {model.name!r} has no closed-form {kind} derivatives up to order 4")
+    return functools.cache(lambda r: np.asarray(fns[r - 1](x), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -206,26 +212,13 @@ def _bias_expansion(b1: float, b2: float, m: float, note: str) -> BiasExpansion:
 def density_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: float) -> BiasExpansion:
     """Two-term bias of the density estimator at a near-boundary profile.
 
-    The leading bracket uses derivatives at the profile's limit point (J
-    coordinates set to 0); the second bracket uses derivatives at the
-    origin.  With empty J both brackets reduce exactly to the interior
-    coefficients of :func:`density_bias_terms`.
+    Both brackets use the derivatives at the profile's limit point (J
+    coordinates set to 0); with empty J that is the evaluation point itself.
     """
     _check_model(model, profile)
     _check_mn(m)
-    if profile.j_size == 0:
-        b1, b2 = density_bias_terms(model, profile.realized_point(m))
-    else:
-        xs = profile.slice_point()
-        off_j = profile.off_j
-        grad_s = np.asarray(model.density_grad(xs), dtype=float)
-        hess_s = np.asarray(model.density_hessian(xs), dtype=float)
-        b1 = float(np.dot(0.5 - xs * off_j, grad_s)) + _covariance_term(xs, hess_s, off_j)
-        origin = np.zeros(profile.d)
-        grad_0 = np.asarray(model.density_grad(origin), dtype=float)
-        hess_0 = np.asarray(model.density_hessian(origin), dtype=float)
-        lam = profile.lambda_vector()
-        b2 = float(-np.dot(lam, grad_0) + np.sum(_m2_coefficients(lam) * hess_0))
+    xs = profile.slice_point()
+    b1, b2 = _bias_brackets(_derivatives(model, "density", xs), xs, profile.lambda_vector(), cube=True)
     return _bias_expansion(b1, b2, m, "o(m^-2)" if profile.is_full_boundary else "o(m^-2 + m^-1)")
 
 
@@ -324,25 +317,19 @@ def shoulder_bracket(model: DensityModel, profile: BoundaryProfile) -> float:
     """
     _check_model(model, profile)
     xs = profile.slice_point()
-    grad = np.asarray(model.density_grad(xs), dtype=float)
-    hess = np.asarray(model.density_hessian(xs), dtype=float)
+    derivative = _derivatives(model, "density", xs)
+    grad, hess = derivative(1), derivative(2)
     for i in range(profile.d):
         if abs(grad[i]) > SHOULDER_TOL:
-            raise ValidationError(
-                f"shoulder condition violated: df/dx_{i + 1} at the boundary slice is {grad[i]!r}"
-            )
-    fixed = np.outer(profile.off_j, profile.off_j)
-    violated = np.argwhere(fixed & (np.abs(hess) > SHOULDER_TOL))
+            raise ValidationError(f"shoulder condition violated: df/dx_{i + 1} at the boundary slice is {grad[i]!r}")
+    violated = np.argwhere(np.outer(profile.off_j, profile.off_j) & (np.abs(hess) > SHOULDER_TOL))
     if len(violated):
         i, j = violated[0]
         raise ValidationError(
             "shoulder condition violated: "
             f"d2f/dx_{i + 1}dx_{j + 1} at the boundary slice is {hess[i, j]!r}"
         )
-    total = 0.0
-    for term in (_m2_coefficients(profile.lambda_vector()) * hess)[~fixed]:
-        total += term  # pair by pair: np.sum's pairwise reduction rounds differently from d = 3 on
-    return float(total)
+    return _bias_brackets(derivative, xs, profile.lambda_vector(), cube=True)[1]
 
 
 def density_m_opt_shoulder(
@@ -402,10 +389,7 @@ def cdf_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: float) -
     if profile.has_zero_lambda:
         return BiasExpansion(0.0, 0.0, float(m), 0.0, "exact (estimator vanishes a.s.)")
     xs = profile.slice_point()
-    b1 = _covariance_term(xs, np.asarray(model.cdf_hessian(xs), dtype=float), profile.off_j)
-    hess_0 = np.asarray(model.cdf_hessian(np.zeros(profile.d)), dtype=float)
-    lam = profile.lambda_vector()
-    b2 = 0.5 * float(np.dot(lam, np.diag(hess_0)))
+    b1, b2 = _bias_brackets(_derivatives(model, "cdf", xs), xs, profile.lambda_vector(), cube=False)
     return _bias_expansion(b1, b2, m, _CDF_BIAS_NOTE)
 
 

@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bernstein-simplex", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for replicate loops")
+    parser.add_argument("--threads", type=int, help="worker threads for replicate loops (default: one per CPU)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="evaluate an estimator on a dataset")
@@ -203,7 +203,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _as_int(args.threads, "--threads", least=1)
+        if args.threads is not None:
+            _as_int(args.threads, "--threads", least=1)
         return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

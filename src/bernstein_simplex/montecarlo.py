@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -136,6 +137,13 @@ def _run(model: DensityModel, cell: _Cell, replicates: int, seed: int, threads: 
     )
 
 
+def _as_threads(threads: int | None) -> int:
+    """Worker threads: an int >= 1, or by default one per CPU this process may run on."""
+    if threads is None:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return _as_int(threads, "'threads'", least=1)
+
+
 def mc_bias_variance(
     model: DensityModel,
     profile_or_point: "BoundaryProfile | SimplexPoint | float | Sequence[float]",
@@ -144,7 +152,7 @@ def mc_bias_variance(
     replicates: int,
     seed: int,
     kind: str = "density",
-    threads: int = 1,
+    threads: int | None = None,
 ) -> McRow:
     """Estimate bias, variance and mse over independent replicates.
 
@@ -152,10 +160,11 @@ def mc_bias_variance(
     the reported mse is exactly ``bias**2 + var``.  Standard errors come
     from the replicate dispersion (the variance one uses the usual
     fourth-moment formula).  The design, the point and the theory are
-    checked before the first replicate runs.
+    checked before the first replicate runs.  Replicates run on ``threads``
+    worker threads, by default one per CPU; the result does not depend on it.
     """
     m, n, replicates, seed = _check_design(kind, m, n, replicates, seed)
-    threads = _as_int(threads, "'threads'", least=1)
+    threads = _as_threads(threads)
     if not isinstance(profile_or_point, BoundaryProfile):
         profile_or_point = BoundaryProfile.interior_point(profile_or_point)
     return _run(model, _setup(model, profile_or_point, m, n, kind), replicates, seed, threads)
@@ -241,15 +250,16 @@ class McResult:
     rows: tuple[McRow, ...]
 
 
-def run_experiment(experiment: Experiment, threads: int = 1) -> McResult:
+def run_experiment(experiment: Experiment, threads: int | None = None) -> McResult:
     """Run every (m, n) cell of the experiment grid.
 
     Each cell derives its own master seed from the experiment seed and the
     cell index, so enlarging the grid never changes existing cells.
     Every cell is set up before the first replicate of the first one, so
-    a cell that cannot be evaluated fails before any sampling.
+    a cell that cannot be evaluated fails before any sampling.  ``threads``
+    is :func:`mc_bias_variance`'s.
     """
-    threads = _as_int(threads, "'threads'", least=1)
+    threads = _as_threads(threads)
     model = build_model(experiment.model_name, experiment.model_params)
     grid = itertools.product(experiment.m_grid, experiment.n_grid)
     cells = [_setup(model, experiment.profile, m, n, experiment.kind) for m, n in grid]

@@ -74,8 +74,12 @@ def iter_lattice(m: int, d: int):
 
 
 def multinomial_pmf_exact(k, m: int, x) -> float:
-    """Multinomial(m, x) probability of k from factorials; the last category gets the rest."""
-    rest_k, rest_x = m - sum(k), 1.0 - sum(x)
+    """Multinomial(m, x) probability of k from factorials; the last category gets the rest, clamped at 0.
+
+    The clamp is ``SimplexPoint.remainder``'s: a point whose float sum exceeds 1
+    by rounding would otherwise raise a tiny negative share to odd powers.
+    """
+    rest_k, rest_x = m - sum(k), max(0.0, 1.0 - sum(x))
     coef = math.factorial(m) // math.factorial(rest_k)
     prob = rest_x**rest_k
     for ki, xi in zip(k, x):
@@ -203,6 +207,42 @@ def simplex_integral_2d(f, cells: int) -> float:
         centroid = np.array([(i + 1.0 / 3.0) * h, (j + 1.0 / 3.0) * h])
         total += f(centroid) * 0.5 * h * h
     return total
+
+
+def exact_mean_1d(cdf, m: int, x: float, kind: str) -> float:
+    """Exact mean of the d = 1 estimator at x for data with cdf ``cdf``, weights from ``scipy.stats.binom``.
+
+    The density's is ``m sum_k (F((k+1)/m) - F(k/m)) Binom(m-1, x)(k)``, the
+    cdf's ``sum_k F(k/m) Binom(m, x)(k)``.
+    """
+    from scipy.stats import binom
+
+    if kind == "density":
+        grid = np.arange(m + 1) / m
+        return float(m * np.dot(np.diff(cdf(grid)), binom.pmf(np.arange(m), m - 1, x)))
+    return float(np.dot(cdf(np.arange(m + 1) / m), binom.pmf(np.arange(m + 1), m, x)))
+
+
+def exact_density_mean_2d(f, m: int, x) -> float:
+    """Exact mean of the d = 2 density estimator at x for a quadratic density ``f``.
+
+    A cube inside the simplex gets its mass from the two-point Gauss-Legendre
+    product rule, a cube cut by the diagonal (indices summing to m - 1) from
+    the edge-midpoint rule on the triangle below the diagonal; both are exact
+    for quadratics.  The weights are :func:`multinomial_pmf_exact`'s.
+    """
+    h = 1.0 / m
+    nodes = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+    total = 0.0
+    for k1, k2 in iter_lattice(m - 1, 2):
+        lo = np.array([k1, k2]) * h
+        if k1 + k2 < m - 1:
+            mass = h * h / 4.0 * sum(f(lo + h * np.array([u, v])) for u in nodes for v in nodes)
+        else:
+            mids = ((0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
+            mass = h * h / 6.0 * sum(f(lo + h * np.array(mid)) for mid in mids)
+        total += mass * multinomial_pmf_exact((k1, k2), m - 1, x)
+    return m * m * total
 
 
 def reference_derivative_gap(model, seed: int = 0, n_points: int = 20, step: float = 1e-5) -> float:

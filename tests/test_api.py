@@ -21,7 +21,7 @@ SUBMODULES = {
 PUBLIC = {
     # asymptotics
     "BiasExpansion", "BoundaryProfile", "ExpansionReport", "VarianceExpansion", "cdf_bias_boundary", "cdf_mse",
-    "cdf_variance_boundary", "density_bias_boundary", "density_bias_terms", "density_m_opt",
+    "cdf_variance_boundary", "density_bias_boundary", "density_m_opt",
     "density_m_opt_shoulder", "density_mse", "density_mse_shoulder", "density_variance_leading", "psi",
     "shoulder_bracket",
     # bessel
@@ -60,6 +60,7 @@ RETIRED = {
     "HistogramCounts": "estimators",
     "density_from_counts": "estimators",
     "histogram_counts": "estimators",
+    "density_bias_terms": "asymptotics",
 }
 
 #: public functions and classes that no module of the package uses: entry points for library callers only

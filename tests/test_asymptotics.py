@@ -7,18 +7,20 @@ import pytest
 from bernstein_simplex import (
     BoundaryProfile,
     DensityModel,
+    SimplexPoint,
     ValidationError,
     cdf_bias_boundary,
     cdf_mse,
     cdf_variance_boundary,
     density_bias_boundary,
-    density_bias_terms,
     density_m_opt,
     density_m_opt_shoulder,
     density_mse,
     density_mse_shoulder,
     density_variance_leading,
     dirichlet_model,
+    lattice_array,
+    log_multinomial_pmf,
     min_coupling_factor,
     poisson_equal_probability,
     poisson_within_one_probability,
@@ -26,6 +28,8 @@ from bernstein_simplex import (
     shoulder_bracket,
     uniform_model,
 )
+
+from conftest import exact_density_mean_2d, exact_mean_1d
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -40,7 +44,7 @@ def make_product_cdf_model() -> DensityModel:
 
     def g1(t, order):  # scaled Beta(1,2) cdf derivatives
         u = t / c1
-        return [2 * u - u * u, (2 - 2 * u) / c1, -2 / c1**2, 0.0][order]
+        return [2 * u - u * u, (2 - 2 * u) / c1, -2 / c1**2, 0.0, 0.0, 0.0][order]
 
     def g2(t, order):  # scaled Beta(2,2) cdf derivatives
         u = t / c2
@@ -49,42 +53,30 @@ def make_product_cdf_model() -> DensityModel:
             6 * u * (1 - u) / c2,
             (6 - 12 * u) / c2**2,
             -12 / c2**3,
+            0.0,
+            0.0,
         ][order]
 
-    def deriv(x, orders):
-        return g1(x[0], orders[0]) * g2(x[1], orders[1])
+    def tensor(x, order, base):
+        """The partial derivatives of order ``order`` of ``g1^(base) g2^(base)``, shape ``(2,) * order``."""
+        out = np.empty((2,) * order)
+        for index in np.ndindex(out.shape):
+            out[index] = g1(x[0], base + index.count(0)) * g2(x[1], base + index.count(1))
+        return out
 
     return DensityModel(
         name="product(beta12@0.4, beta22@0.5)",
         d=2,
-        density=lambda x: deriv(x, (1, 1)),
-        density_grad=lambda x: np.array([deriv(x, (2, 1)), deriv(x, (1, 2))]),
-        density_hessian=lambda x: np.array(
-            [
-                [deriv(x, (3, 1)), deriv(x, (2, 2))],
-                [deriv(x, (2, 2)), deriv(x, (1, 3))],
-            ]
-        ),
-        cdf=lambda x: deriv(x, (0, 0)),
-        cdf_grad=lambda x: np.array([deriv(x, (1, 0)), deriv(x, (0, 1))]),
-        cdf_hessian=lambda x: np.array(
-            [
-                [deriv(x, (2, 0)), deriv(x, (1, 1))],
-                [deriv(x, (1, 1)), deriv(x, (0, 2))],
-            ]
-        ),
-        cdf_third=lambda x: np.array(
-            [
-                [
-                    [deriv(x, (3, 0)), deriv(x, (2, 1))],
-                    [deriv(x, (2, 1)), deriv(x, (1, 2))],
-                ],
-                [
-                    [deriv(x, (2, 1)), deriv(x, (1, 2))],
-                    [deriv(x, (1, 2)), deriv(x, (0, 3))],
-                ],
-            ]
-        ),
+        density=lambda x: g1(x[0], 1) * g2(x[1], 1),
+        density_grad=lambda x: tensor(x, 1, 1),
+        density_hessian=lambda x: tensor(x, 2, 1),
+        density_third=lambda x: tensor(x, 3, 1),
+        density_fourth=lambda x: tensor(x, 4, 1),
+        cdf=lambda x: g1(x[0], 0) * g2(x[1], 0),
+        cdf_grad=lambda x: tensor(x, 1, 0),
+        cdf_hessian=lambda x: tensor(x, 2, 0),
+        cdf_third=lambda x: tensor(x, 3, 0),
+        cdf_fourth=lambda x: tensor(x, 4, 0),
     )
 
 
@@ -150,20 +142,35 @@ class TestDensityBias:
     def test_uniform_vanishes(self, uni2):
         rng = np.random.default_rng(0)
         x = rng.dirichlet((1, 1, 1))[:2]
-        assert density_bias_terms(uni2, x) == (0.0, 0.0)
+        exp = density_bias_boundary(uni2, BoundaryProfile.interior_point(x), 25)
+        assert (exp.bracket_m1, exp.bracket_m2) == (0.0, 0.0)
 
     def test_beta22_hand_values(self, beta22):
-        d1, d2 = density_bias_terms(beta22, 0.3)
-        assert d1 == pytest.approx(-0.78, abs=1e-12)
-        assert d2 == pytest.approx(0.52, abs=1e-12)
+        exp = density_bias_boundary(beta22, BoundaryProfile.interior_point(0.3), 25)
+        assert exp.bracket_m1 == pytest.approx(-0.78, abs=1e-12)
+        assert exp.bracket_m2 == pytest.approx(0.52, abs=1e-12)
 
-    def test_interior_profile_reduces_to_point_terms(self, beta22, dir222):
-        for model, x in ((beta22, [0.3]), (dir222, [0.2, 0.4])):
-            prof = BoundaryProfile.interior_point(x)
-            exp = density_bias_boundary(model, prof, 25)
-            d1, d2 = density_bias_terms(model, x)
-            assert exp.bracket_m1 == d1 and exp.bracket_m2 == d2
-            assert exp.value == d1 / 25 + d2 / 25**2
+    def test_interior_profile_reduces_to_point_terms(self, beta22):
+        # for a quadratic density the interior brackets are the point formulas
+        # b1 = (1/2 - x).grad + 1/2 sum H_ij (x_i d_ij - x_i x_j) and
+        # b2 = 1/2 sum H_ij ((1/2 - x_i)(1/2 - x_j) + d_ij/12 - x_i d_ij + x_i x_j)
+        for model, x in ((beta22, [0.3]), (dirichlet_model((2, 1, 2)), [0.2, 0.4])):
+            x = np.array(x)
+            grad, hess = model.density_grad(x), model.density_hessian(x)
+            sigma = np.diag(x) - np.outer(x, x)
+            d1 = (0.5 - x) @ grad + 0.5 * np.sum(hess * sigma)
+            d2 = 0.5 * np.sum(hess * (np.outer(0.5 - x, 0.5 - x) + np.eye(len(x)) / 12 - sigma))
+            exp = density_bias_boundary(model, BoundaryProfile.interior_point(x), 25)
+            assert exp.bracket_m1 == pytest.approx(d1, rel=1e-12)
+            assert exp.bracket_m2 == pytest.approx(d2, rel=1e-12)
+            assert exp.value == exp.bracket_m1 / 25 + exp.bracket_m2 / 25**2
+
+    def test_cubic_interior_second_bracket(self):
+        # Dirichlet(2,2,2,2) is cubic, so the third derivatives enter; without them b2 was -24.53
+        model = dirichlet_model((2, 2, 2, 2))
+        exp = density_bias_boundary(model, BoundaryProfile.interior_point((0.2, 0.3, 0.1)), 50)
+        assert exp.bracket_m1 == pytest.approx(-25.2, abs=1e-10)
+        assert exp.bracket_m2 == pytest.approx(-33.6, abs=1e-10)
 
     def test_boundary_brackets_hand_values(self, beta22):
         prof = BoundaryProfile(d=1, boundary={1: 1.0})
@@ -173,12 +180,13 @@ class TestDensityBias:
         assert exp.value == pytest.approx(3.0 / 40 - 20.0 / 1600, abs=1e-14)
 
     def test_mixed_profile_hand_values(self):
-        # f = 24 x1 (1 - x1 - x2); brackets evaluated by hand at the slice/origin
+        # f = 24 x1 (1 - x1 - x2) is quadratic; both brackets by hand at the slice (0.4, 0):
+        # b2 = -grad.lam + sum_ij H_ij C_ij = 4.8 + 5.92 with the coefficients C of _bias_brackets
         model = dirichlet_model((2, 1, 2))
         prof = BoundaryProfile(d=2, boundary={2: 0.5}, interior={1: 0.4})
         exp = density_bias_boundary(model, prof, 30)
         assert exp.bracket_m1 == pytest.approx(-10.08, abs=1e-12)
-        assert exp.bracket_m2 == pytest.approx(-20.0, abs=1e-12)
+        assert exp.bracket_m2 == pytest.approx(10.72, abs=1e-12)
 
     def test_uniform_brackets_exactly_zero(self, uni1):
         prof = BoundaryProfile(d=1, boundary={1: 2.0})
@@ -318,6 +326,8 @@ def make_flat_shoulder_model() -> DensityModel:
         density=lambda x: 0.75 * (1.0 + float(np.atleast_1d(x)[0]) ** 2),
         density_grad=lambda x: np.array([1.5 * float(np.atleast_1d(x)[0])]),
         density_hessian=lambda x: np.array([[1.5]]),
+        density_third=lambda x: np.zeros((1, 1, 1)),
+        density_fourth=lambda x: np.zeros((1, 1, 1, 1)),
     )
 
 
@@ -330,6 +340,8 @@ def make_quadratic_shoulder_model() -> DensityModel:
         density=lambda x: 1.0 + float(np.asarray(x) @ a @ np.asarray(x)),
         density_grad=lambda x: 2.0 * a @ np.asarray(x),
         density_hessian=lambda x: 2.0 * a,
+        density_third=lambda x: np.zeros((2, 2, 2)),
+        density_fourth=lambda x: np.zeros((2, 2, 2, 2)),
     )
 
 
@@ -359,6 +371,8 @@ class TestShoulder:
             density=lambda x: 1.0 + (x[1] - 0.4) ** 2,
             density_grad=lambda x: np.array([0.0, 2.0 * (x[1] - 0.4)]),
             density_hessian=lambda x: np.array([[0.0, 0.0], [0.0, 2.0]]),
+            density_third=lambda x: np.zeros((2, 2, 2)),
+            density_fourth=lambda x: np.zeros((2, 2, 2, 2)),
         )
         prof = BoundaryProfile(d=2, boundary={1: 0.0}, interior={2: 0.4})
         with pytest.raises(ValidationError, match="d2f/dx_2dx_2"):
@@ -387,6 +401,28 @@ class TestShoulder:
         for model, profile in shoulder_cases():
             assert shoulder_bracket(model, profile) == density_bias_boundary(model, profile, 20).bracket_m2
 
+    def test_partial_j_bracket_is_the_second_density_bracket(self):
+        # f = 1 + x1^2 (1 + x2) + x1 (x2 - 0.4)^2: gradient 0 on the slice (0, 0.4), H_22 = 0 there
+        model = DensityModel(
+            name="poly",
+            d=2,
+            density=lambda x: 1.0 + x[0] ** 2 * (1.0 + x[1]) + x[0] * (x[1] - 0.4) ** 2,
+            density_grad=lambda x: np.array(
+                [2 * x[0] * (1 + x[1]) + (x[1] - 0.4) ** 2, x[0] ** 2 + 2 * x[0] * (x[1] - 0.4)]
+            ),
+            density_hessian=lambda x: np.array(
+                [[2 * (1 + x[1]), 2 * x[0] + 2 * (x[1] - 0.4)], [2 * x[0] + 2 * (x[1] - 0.4), 2 * x[0]]]
+            ),
+            density_third=lambda x: np.array([[[0.0, 2.0], [2.0, 2.0]], [[2.0, 2.0], [2.0, 0.0]]]),
+            density_fourth=lambda x: np.zeros((2, 2, 2, 2)),
+        )
+        prof = BoundaryProfile(d=2, boundary={1: 0.5}, interior={2: 0.4})
+        exp = density_bias_boundary(model, prof, 20)
+        assert exp.bracket_m1 == 0.0
+        assert shoulder_bracket(model, prof) == exp.bracket_m2
+        # (lam + 1/6) H_11 + f_122 sigma_22 (lam + 1/2) / 2, with H_11 = 2.8 and sigma_22 = 0.24
+        assert exp.bracket_m2 == pytest.approx((0.5 + 1 / 6) * 2.8 + 0.24, abs=1e-12)
+
     def test_mse_uses_fourth_power(self):
         model = make_flat_shoulder_model()
         prof = BoundaryProfile(d=1, boundary={1: 0.5})
@@ -414,8 +450,9 @@ class TestCdfExpansions:
         prof = BoundaryProfile.interior_point(0.3)
         exp = cdf_bias_boundary(beta22, prof, 100)
         assert exp.bracket_m1 == pytest.approx(0.252, abs=1e-12)
-        assert exp.bracket_m2 == 0.0
-        assert exp.value == pytest.approx(0.252 / 100, abs=1e-14)
+        # F''' x (1 - x)(1 - 2x) / 6 with F''' = f'' = -12; it was printed as 0
+        assert exp.bracket_m2 == pytest.approx(-12 * 0.3 * 0.7 * 0.4 / 6, abs=1e-12)
+        assert exp.value == pytest.approx(0.252 / 100 - 0.168 / 100**2, abs=1e-14)
 
     def test_uniform_cdf_bias_vanishes(self, uni1):
         prof = BoundaryProfile.interior_point(0.4)
@@ -463,7 +500,26 @@ class TestCdfExpansions:
         value = cdf_variance_boundary(model, prof, 80, 1.0).value
         expected = 3.24 * min_coupling_factor(1.0) / 80.0
         assert value == pytest.approx(expected, rel=1e-12)
-        assert cdf_bias_boundary(model, prof, 80).value == 0.0
+        # F_22 vanishes on the slice, so b1 does; b2 = F_11/2 - 0.3 F_12 + 0.21 F_122/2 = -4.05 - 4.32 - 2.52
+        # (it was taken from F_11 at the origin, 0)
+        exp = cdf_bias_boundary(model, prof, 80)
+        assert exp.bracket_m1 == 0.0
+        assert exp.bracket_m2 == pytest.approx(-10.89, abs=1e-12)
+
+    def test_partial_j_second_bracket_matches_exact_mean(self):
+        # E F(K/m) for K ~ Multinomial(m, x) summed over the lattice, for the polynomial F of the product model
+        model = make_product_cdf_model()
+        prof = BoundaryProfile(d=2, boundary={1: 1.0}, interior={2: 0.3})
+        scaled = []
+        for m in (100, 200, 400):
+            x = prof.realized_point(m)
+            k = lattice_array(m, 2)
+            weights = np.exp(log_multinomial_pmf(k, m, SimplexPoint.of(x)))
+            mean = weights @ np.array([model.cdf(row) for row in k / m])
+            scaled.append(m * m * (mean - model.cdf(x)))
+        # v(m) = m^2 (E - F) = b2 + c/m + e/m^2, so 2 v(2m) - v(m) = b2 + e/(2 m^2), smaller than the
+        # step v(2m) - v(m) = -c/(2m) by |e/(c m)|: under 1/50 at m = 200 while |e| <= 4 |c|
+        assert 2 * scaled[2] - scaled[1] == pytest.approx(-10.89, abs=abs(scaled[2] - scaled[1]) / 50)
 
     def test_mse_markers(self, beta22, beta12):
         boundary = cdf_mse(beta12, BoundaryProfile(d=1, boundary={1: 1.0}), 50, 1000)
@@ -478,6 +534,56 @@ class TestCdfExpansions:
         prof = BoundaryProfile(d=2, interior={1: 0.2, 2: 0.3})
         with pytest.raises(ValidationError, match="cdf"):
             cdf_bias_boundary(dir222, prof, 10)
+
+
+def beta23_cdf(t):
+    """Beta(2,3): F = 6t^2 - 8t^3 + 3t^4, f = 12 t (1 - t)^2."""
+    return 6 * t**2 - 8 * t**3 + 3 * t**4
+
+
+class TestSecondBracketAgainstExactMeans:
+    """b2 is the limit of m^2 (E - truth - b1/m), with E the estimator's exact mean.
+
+    That scaled gap is b2 + c/m + O(m^-2), so the Richardson value 2 v(2m) - v(m)
+    is b2 + e/(2 m^2) + ...: against the step v(2m) - v(m) = -c/(2m) it is
+    smaller by |e/(c m)|, under 1/100 at m = 800 while |e| <= 8 |c|.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,profile,b2",
+        [("density", BoundaryProfile.interior_point(0.3), 3.664),
+         ("cdf", BoundaryProfile.interior_point(0.3), 0.0273),
+         ("density", BoundaryProfile(d=1, boundary={1: 1.5}), -98.0),
+         ("cdf", BoundaryProfile(d=1, boundary={1: 1.5}), 9.0)],
+        ids=["density-interior", "cdf-interior", "density-boundary", "cdf-boundary"],
+    )
+    def test_beta23_richardson_limit(self, kind, profile, b2):
+        model = dirichlet_model((2, 3))
+        expansion = density_bias_boundary if kind == "density" else cdf_bias_boundary
+        truth = (lambda t: 12 * t * (1 - t) ** 2) if kind == "density" else beta23_cdf
+        scaled = []
+        for m in (200, 400, 800, 1600):
+            x = float(profile.realized_point(m)[0])
+            exp = expansion(model, profile, m)
+            scaled.append(m * m * (exact_mean_1d(beta23_cdf, m, x, kind) - truth(x) - exp.bracket_m1 / m))
+        assert exp.bracket_m2 == pytest.approx(b2, abs=1e-10)
+        limit = 2 * scaled[3] - scaled[2]
+        assert limit == pytest.approx(b2, abs=abs(scaled[3] - scaled[2]) / 100 + 1e-7)
+
+    def test_quadratic_d2_exact_mean(self):
+        model = dirichlet_model((2, 1, 2))
+        prof = BoundaryProfile(d=2, boundary={2: 0.5}, interior={1: 0.4})
+        scaled = []
+        for m in (30, 60, 120):
+            x = prof.realized_point(m)
+            bias = exact_density_mean_2d(model.density, m, x) - model.density(x)
+            exp = density_bias_boundary(model, prof, m)
+            if m == 30:
+                assert bias == pytest.approx(-0.324222222221, abs=1e-12)
+                # the two-term expansion is closer than the one-term one (it was not: -0.35822)
+                assert abs(exp.value - bias) < abs(exp.bracket_m1 / m - bias) / 10
+            scaled.append(m * m * (bias - exp.bracket_m1 / m))
+        assert 2 * scaled[2] - scaled[1] == pytest.approx(exp.bracket_m2, abs=abs(scaled[2] - scaled[1]) / 100)
 
 
 class TestExpansionReport:

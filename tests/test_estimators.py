@@ -23,6 +23,7 @@ from bernstein_simplex.cli import main
 from bernstein_simplex.estimators import _cube_counts, _loadtxt_points, _upper_grid_index
 
 from conftest import (
+    multinomial_pmf_exact,
     reference_cdf,
     reference_cdf_1d,
     reference_density,
@@ -513,6 +514,21 @@ class TestDensityMany(TestCdfMany):
     one = staticmethod(bernstein_density)
     reference = staticmethod(reference_density)
     volume_scaled = True
+
+
+class TestOracleOnTheFace:
+    # one CSV pass gives this point, whose float sum is 1.0000000000000002
+    POINT = [0.38461538461538464, 0.6153846153846155]
+
+    def test_remainder_is_clamped_as_the_package_does(self):
+        assert multinomial_pmf_exact((3, 5), 9, self.POINT) == 0.0
+        assert multinomial_pmf_exact((4, 5), 9, self.POINT) > 0.0
+
+    def test_reference_density_is_zero_where_the_estimator_is(self, dir222):
+        # no row of this sample lies in a cube on the face; the unclamped oracle gave -6.98e-15
+        data = sample(dir222, 50, seed=0)
+        assert bernstein_density_many(data, 20, [self.POINT]).tolist() == [0.0]
+        assert reference_density(data.points, 20, self.POINT) == 0.0
 
 
 class TestUnivariateCrossCheck:

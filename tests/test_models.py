@@ -19,6 +19,8 @@ class TestUniform:
         assert model.density(np.zeros(d)) == pytest.approx(math.factorial(d), rel=1e-12)
         assert np.all(model.density_grad(np.zeros(d)) == 0.0)
         assert np.all(model.density_hessian(np.zeros(d)) == 0.0)
+        assert np.all(model.density_third(np.zeros(d)) == 0.0)
+        assert np.all(model.density_fourth(np.zeros(d)) == 0.0)
 
     @pytest.mark.parametrize("d,message", [(0, "must be >= 1, got 0"), (2.5, "must be an integer, got 2.5"),
                                            (True, "must be an integer, got True")])
@@ -42,6 +44,8 @@ class TestBetaFamily:
             assert beta22.cdf_third([x])[0, 0, 0] == pytest.approx(
                 beta22.density_hessian([x])[0, 0]
             )
+            assert beta22.cdf_fourth([x]).shape == (1, 1, 1, 1)
+            assert beta22.cdf_fourth([x])[0, 0, 0, 0] == beta22.density_third([x])[0, 0, 0] == 0.0
 
     def test_beta12_boundary_values(self, beta12):
         assert beta12.density([0.0]) == pytest.approx(2.0)
@@ -71,6 +75,23 @@ class TestDirichletGeneral:
     def test_derivatives_match_finite_differences(self, alpha):
         model = dirichlet_model(alpha)
         assert reference_derivative_gap(model, seed=42) <= 1e-5
+
+    @pytest.mark.parametrize("alpha", [(2, 3), (3, 4), (2, 3, 4), (3, 2, 2, 3)])
+    def test_higher_derivatives_are_differences_of_lower_ones(self, alpha):
+        model = dirichlet_model(alpha)
+        d, step = model.d, 1e-6
+        x = np.random.default_rng(5).dirichlet(np.ones(d + 1))[:d] * 0.8 + 0.05
+        for lower, higher in ((model.density_hessian, model.density_third),
+                              (model.density_third, model.density_fourth)):
+            tensor = higher(x)
+            assert tensor.shape == (d,) * tensor.ndim
+            assert np.array_equal(tensor, np.swapaxes(tensor, 0, -1))
+            scale = max(1.0, float(np.abs(tensor).max()))
+            for i in range(d):
+                e = np.zeros(d)
+                e[i] = step
+                central = (lower(x + e) - lower(x - e)) / (2 * step)
+                np.testing.assert_allclose(central, tensor[..., i], rtol=0, atol=1e-5 * scale)
 
     def test_normalization_1d(self):
         model = dirichlet_model((2.5, 3.5))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ class TestSampling:
             density=lambda x: 1.0,
             density_grad=lambda x: np.zeros(1),
             density_hessian=lambda x: np.zeros((1, 1)),
+            density_third=lambda x: np.zeros((1, 1, 1)),
+            density_fourth=lambda x: np.zeros((1, 1, 1, 1)),
         )
         with pytest.raises(ValidationError):
             sample(bare, 10, seed=0)
@@ -65,6 +68,13 @@ class TestMcBiasVariance:
         serial = mc_bias_variance(beta22, 0.3, **kwargs, threads=1)
         threaded = mc_bias_variance(beta22, 0.3, **kwargs, threads=4)
         assert serial == threaded
+        assert mc_bias_variance(beta22, 0.3, **kwargs) == serial
+
+    def test_threads_default_to_every_cpu(self, monkeypatch):
+        assert montecarlo._as_threads(None) == len(os.sched_getaffinity(0))
+        assert montecarlo._as_threads(3) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert montecarlo._as_threads(None) == os.cpu_count()
 
     def test_mse_identity(self, beta22):
         row = mc_bias_variance(beta22, 0.3, m=20, n=500, replicates=30, seed=3, kind="density")
