@@ -20,6 +20,7 @@ import numpy as np
 from .bessel import min_coupling_factor, poisson_equal_probability
 from .errors import ValidationError, _as_int, _as_real, _check_mn
 from .models import DensityModel
+from .moments import _trial_moment
 from .simplex import SimplexPoint
 
 #: Numerical threshold for the vanishing-derivative precondition of the
@@ -162,25 +163,23 @@ def _bias_brackets(
 
     ``derivative(r)`` is phi's tensor of r-th derivatives at the slice point xs.  For the
     density (``cube``) phi = f and ``Y = (K + U)/m``, K ~ Multinomial(m - 1, x), U uniform on
-    the unit cube; for the cdf phi = F and ``Y = K/m``, K ~ Multinomial(m, x).  With
-    ``s = 1/2 - xs`` and ``sigma = diag(xs) - xs xs^T``, ``Y - x`` has the moments ``s/m - lam/m^2``,
-    ``sigma/m + (diag(lam) - lam xs^T - xs lam^T + s s^T + I/12 - sigma)/m^2``,
+    the unit cube; for the cdf phi = F and ``Y = K/m``, K ~ Multinomial(m, x).  With ``s = 1/2 - xs``
+    and one trial's central moments sigma, mu3 (``moments._trial_moment``), ``Y - x`` has the moments
+    ``s/m - lam/m^2``, ``sigma/m + (diag(lam) - lam xs^T - xs lam^T + s s^T + I/12 - sigma)/m^2``,
     ``(mu3 + 3 sym(sigma s))/m^2`` and ``3 sym(sigma sigma)/m^2``; the cdf has s = 0 and drops
     the ``-lam/m^2``, ``I/12`` and ``-sigma`` terms.
     """
     grad, hess = derivative(1), derivative(2)
     w = 1.0 if cube else 0.0
     s, eye = w * (0.5 - xs), np.eye(len(xs))
-    sigma = xs * eye - np.outer(xs, xs)
+    sigma = _trial_moment(xs, np.indices(hess.shape))
     b1 = np.dot(grad, s) + 0.5 * np.vdot(hess, sigma)
     # the Hessian's coefficients, with lam^T H s and the cross terms folded onto one side
     coef = 0.5 * lam * eye + np.outer(s - xs, lam) + 0.5 * (np.outer(s, s) + w * (eye / 12.0 - sigma))
     b2 = -w * np.dot(grad, lam) + np.vdot(coef, hess)
     if xs.any():  # at full J sigma and mu3 vanish, and with them the terms of orders 3 and 4
         third, fourth = derivative(3), derivative(4)
-        dev = np.eye(len(xs) + 1, len(xs)) - xs  # a trial's one-hot vector minus its mean, per category
-        # moments._trial_moment of every index triple, as one tensor
-        mu3 = np.einsum("c,ci,cj,ck->ijk", np.append(xs, 1.0 - xs.sum()), dev, dev, dev)
+        mu3 = _trial_moment(xs, np.indices(third.shape))
         b2 += (0.5 * np.einsum("ijk,ij,k->", third, sigma, lam + s) + np.vdot(third, mu3) / 6.0
                + np.einsum("ijkl,ij,kl->", fourth, sigma, sigma) / 8.0)
     return float(b1), float(b2)
@@ -258,8 +257,8 @@ def density_variance_leading(
 _DENSITY_VAR_NOTE = "n^-1 m^((d+|J|)/2) (O(m^-1) + o(1) [J not full])"
 
 
-def _mse_optimum(bracket: float, order: int, a: int, vfactor: float, n: float) -> tuple[float, float] | str:
-    """Minimizer of ``bracket^2 m^(-2 order) + vfactor m^(a/2) / n`` and the mse it attains.
+def _mse_optimum(bracket: float, order: int, a: int, vfactor: float, n: float, base: float = 0.0) -> tuple[float, float] | str:
+    """Minimizer of ``base + bracket^2 m^(-2 order) + vfactor m^(a/2) / n`` and the mse it attains.
 
     In closed form ``m* = (n bracket^2 / ((a / 4 order) vfactor))^(2 / (a + 4 order))``.
     Returns the reason instead when no interior optimum exists.
@@ -278,7 +277,7 @@ def _mse_optimum(bracket: float, order: int, a: int, vfactor: float, n: float) -
         * (q / a + 1.0)
         * scale ** (q / s)
     )
-    return m_opt, mse
+    return m_opt, mse + base
 
 
 def density_m_opt(
@@ -435,18 +434,22 @@ def cdf_mse(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -
     """Mse of the smoothed cdf estimator: variance expansion + squared bias.
 
     No finite bandwidth minimizes the mse for a nonempty J; the report
-    carries an explicit marker instead of a number.
+    carries an explicit marker instead of a number.  In the interior ``F(1 - F)/n - V m^(-1/2)/n +
+    b1^2/m^2``, with ``V = sum_i dF_i sqrt(x_i (1 - x_i)/pi)``, is least at ``m* = (4 n b1^2/V)^(2/3)``.
     """
     bias = cdf_bias_boundary(model, profile, m)
     var = cdf_variance_boundary(model, profile, m, n)
     if profile.has_zero_lambda:
-        note = "none (estimator vanishes a.s.; mse exactly 0)"
+        opt = "none (estimator vanishes a.s.; mse exactly 0)"
     elif profile.j_size > 0:
-        note = "none (no finite optimum in m)"
+        opt = "none (no finite optimum in m)"
     else:
-        note = "interior case: optimal m handled by the interior expansion, not here"
+        x = profile.slice_point()
+        vfactor = float(np.dot(model.cdf_grad(x), np.sqrt(x * (1.0 - x) / math.pi)))
+        f_val = float(model.cdf(x))
+        opt = _mse_optimum(bias.bracket_m1, 1, -1, -vfactor, n, f_val * (1.0 - f_val) / n)
     terms, notes = _two_term_entries(bias, var.value, var.order_note, var.value + bias.value**2)
-    return _report("cdf", model, profile, m, n, terms, notes, note)
+    return _report("cdf", model, profile, m, n, terms, notes, opt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Modified Bessel functions of the first kind, orders 0 and 1.
+"""Modified Bessel functions of the first kind, orders 0 and 1 (any order in the private series).
 
 Only nonnegative real arguments are needed here (they enter as ``2*lambda``
 with a boundary parameter ``lambda``).  Below ``ASYMPTOTIC_FROM`` the power
@@ -45,7 +45,7 @@ def _series(nu: int, z: float) -> BesselValue:
         return BesselValue(order=nu, argument=0.0, value=1.0 if nu == 0 else 0.0,
                            terms_used=1, remainder_bound=0.0)
     half_sq = (z / 2.0) ** 2
-    term = 1.0 if nu == 0 else z / 2.0
+    term = (z / 2.0) ** nu / math.factorial(nu)
     total = term
     k = 0
     while True:
@@ -175,6 +175,17 @@ def min_coupling_factor(lam: float) -> float:
 
     The coefficient of the smoothed-distribution variance contributed by a
     coordinate at lattice distance ``lam`` from the boundary.  Vanishes at
-    lam = 0 and is nonnegative everywhere.
+    lam = 0 and is nonnegative everywhere.  Below ``z = 2 lam = 2``, where P > 0.524 tends to 1,
+    ``1 - P`` is the Skellam tail ``e^{-z} (I_1(z) + 2 sum_{k >= 2} I_k(z))``, summed until a term is 0
+    or below ``DEFAULT_TOL`` of the sum; every term is positive, so nothing cancels.
     """
-    return lam * (1.0 - poisson_within_one_probability(lam))
+    _check_lambda(lam)
+    z = 2.0 * lam
+    if z >= 2.0:
+        return lam * (1.0 - poisson_within_one_probability(lam))
+    tail, k, term = _series(1, z).value, 1, math.inf
+    while term > 0.0 and term >= DEFAULT_TOL * tail:
+        k += 1
+        term = _series(k, z).value
+        tail += 2.0 * term
+    return lam * (math.exp(-z) * tail)

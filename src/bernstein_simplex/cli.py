@@ -148,8 +148,9 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     _check_kind(estimator, "config field 'estimator'")
     _check_mn(cfg["m"], cfg["n"])
     shoulder = cfg.get("shoulder", False)
-    if not isinstance(shoulder, bool):
-        raise ValidationError(f"config field 'shoulder' must be true or false, got {shoulder!r}")
+    if not (shoulder is False or shoulder is True and estimator == "density"):  # the reduced-bias report is the density's
+        rule = "true or false" if estimator == "density" else "false for the cdf estimator"
+        raise ValidationError(f"config field 'shoulder' must be {rule}, got {shoulder!r}")
     m, n = float(cfg["m"]), float(cfg["n"])
     if estimator == "cdf":
         report = cdf_mse(model, profile, m, n)

@@ -63,12 +63,11 @@ def _loadtxt_points(text: str, d: int | None) -> np.ndarray | None:
     """What :func:`_read_csv_rows` returns for ``text``, from one ``np.loadtxt`` call; ``None`` where it cannot tell.
 
     ``np.loadtxt`` accepts a subset of what ``float()`` accepts and gives the
-    same value on it.  Quotes, a byte-order mark, a lone carriage return and a
-    blank first line change how rows are split or counted, so they, a file
-    with no data row, and every parse or validation failure are left to the
-    row-by-row reader.
+    same value on it.  Quotes, a lone carriage return and a blank first line
+    change how rows are split or counted, so they, a file with no data row,
+    and every parse or validation failure are left to the row-by-row reader.
     """
-    if not text or '"' in text or text.startswith("\ufeff") or text.count("\r") != text.count("\r\n"):
+    if not text or '"' in text or text.count("\r") != text.count("\r\n"):
         return None
     lines = text.split("\n")
     first = next(csv.reader(lines[:1]))
@@ -111,15 +110,16 @@ class Dataset:
 
         Rows violating the simplex constraints beyond ``CSV_TOLERANCE`` are
         rejected with the offending row number (1-based, counting the header).
-        The whole source is parsed in one vectorised pass; whatever that pass
-        cannot settle is read again row by row, which is where every error
-        message comes from.
+        One leading byte-order mark (U+FEFF, as in a "CSV UTF-8" spreadsheet
+        export) is dropped.  The whole source is parsed in one vectorised
+        pass; whatever that pass cannot settle is read again row by row, which
+        is where every error message comes from.
         """
         d = None if d is None else _as_int(d, "dimension d", least=1)
         if isinstance(source, str):
             with open(source, newline="", encoding="utf-8") as fh:
                 return cls.from_csv(fh, d=d)
-        text = source.read()
+        text = source.read().removeprefix("\ufeff")
         points = _loadtxt_points(text, d)
         if points is None:
             points = _read_csv_rows(io.StringIO(text, newline=""), d)

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError, _as_int, _as_real
+from .simplex import _shares
 
 Array = np.ndarray
 
@@ -75,12 +76,6 @@ def _pow(base: float, expo: float) -> float:
             "parameters do not extend smoothly to the closed simplex"
         )
     return base ** expo
-
-
-def _shares(x: Array) -> tuple[float, ...]:
-    """The coordinates of x and the remainder ``1 - sum x``, clamped at 0, as floats."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return (*x.tolist(), max(0.0, 1.0 - float(x.sum())))
 
 
 def _eval_terms(terms: Sequence[_Term], shares: Sequence[float]) -> float:

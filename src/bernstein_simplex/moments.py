@@ -1,9 +1,9 @@
 """Joint central moments of the multinomial: closed forms and an exact oracle.
 
 Orders two to four have closed forms, built from the central moments of
-one trial's one-hot vector.  The oracle is the exact sum over every
-outcome, by the Poisson convolution fold of ``simplex._poisson_fold``; it
-enumerates no lattice and checks the closed forms independently.
+one trial's one-hot vector (the bias brackets use them too).  The oracle
+is the exact sum over every outcome, by the Poisson convolution fold of
+``simplex._poisson_fold``; it enumerates no lattice and checks the closed forms independently.
 Fourth moments grow as ``m^2``, checked here by dividing them by ``m^2``.
 """
 
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, _as_int, _as_order
-from .simplex import SimplexPoint, _poisson_fold
+from .simplex import SimplexPoint, _poisson_fold, _shares
 
 
 @dataclass(frozen=True)
@@ -36,43 +36,32 @@ class MomentQuery:
         object.__setattr__(self, "indices", indices)
 
 
-def _trial_moment(x: SimplexPoint, indices: Sequence[int]) -> float:
-    """``mu_A = sum_c x_c prod_{a in A} (delta_ca - x_a)`` over the d + 1 categories.
+def _trial_moment(coords: Sequence[float], indices: Sequence["int | np.ndarray"]) -> "float | np.ndarray":
+    """One trial's joint central moment ``mu_A = sum_c x_c prod_{a in A} (delta_ca - x_a)`` over the d + 1 categories.
 
-    This is the joint central moment of the 1-based ``indices`` for a single
-    trial, whose outcome is the one-hot vector of its category.
+    The 0-based ``indices`` may be int arrays of one shape, such as the rows of ``np.indices``, for a whole tensor.
     """
-    shares = (*x.coords, x.remainder)
-    return sum(share * math.prod(float(c == a - 1) - x.coords[a - 1] for a in indices) for c, share in enumerate(shares))
+    shares = _shares(coords)
+    x = np.array(shares[:-1])
+    return sum(math.prod(((c == a) - x[a] for a in indices), start=share) for c, share in enumerate(shares))
 
 
 def central_moment_analytic(query: MomentQuery) -> float:
     """Closed-form joint central moment of order two, three or four.
 
-    K is a sum of m independent one-hot trials, so the moments of order two
-    and three are m times a single trial's.  Order four is ``m mu_ijkl +
-    m (m - 1) (s_ij s_kl + s_ik s_jl + s_il s_jk)``, with ``mu`` and the
-    covariances ``s`` of one trial (Ouimet, arXiv:2006.09059).
+    K is a sum of m independent one-hot trials, so its moment is m times a
+    single trial's (:func:`_trial_moment`), plus at order four the pair term
+    ``m (m - 1) (s_ij s_kl + s_ik s_jl + s_il s_jk)`` with the covariances
+    ``s`` of one trial (Ouimet, arXiv:2006.09059).
     """
-    x = query.x.coords
-    m = query.m
-    if len(query.indices) == 2:
-        i, j = (k - 1 for k in query.indices)
-        return m * (x[i] * (1.0 if i == j else 0.0) - x[i] * x[j])
-    if len(query.indices) == 3:
-        i, j, ell = (k - 1 for k in query.indices)
-        xi, xj, xl = x[i], x[j], x[ell]
-        return m * (
-            2.0 * xi * xj * xl
-            - (xi * xl if i == j else 0.0)
-            - (xi * xj if j == ell else 0.0)
-            - (xj * xl if i == ell else 0.0)
-            + (xi if i == j == ell else 0.0)
-        )
-    i, j, k, ell = query.indices
-    s = lambda a, b: _trial_moment(query.x, (a, b))  # noqa: E731
-    pairs = s(i, j) * s(k, ell) + s(i, k) * s(j, ell) + s(i, ell) * s(j, k)
-    return m * _trial_moment(query.x, query.indices) + m * (m - 1) * pairs
+    x, m = query.x.coords, query.m
+    indices = [i - 1 for i in query.indices]
+    value = m * _trial_moment(x, indices)
+    if len(indices) == 4:
+        i, j, k, ell = indices
+        s = lambda a, b: _trial_moment(x, (a, b))  # noqa: E731
+        value += m * (m - 1) * (s(i, j) * s(k, ell) + s(i, k) * s(j, ell) + s(i, ell) * s(j, k))
+    return float(value)
 
 
 def central_moment_bruteforce(query: MomentQuery) -> float:

@@ -56,6 +56,12 @@ def _validated_points(
     return arr
 
 
+def _shares(coords: "Sequence[float] | np.ndarray") -> tuple[float, ...]:
+    """The d + 1 category shares of a point, as floats: its coordinates, then the remainder clamped at 0."""
+    coords = np.asarray(coords, dtype=float).ravel().tolist()
+    return (*coords, max(0.0, 1.0 - sum(coords)))
+
+
 @dataclass(frozen=True)
 class SimplexPoint:
     """A validated point of the unit simplex.
@@ -97,8 +103,8 @@ class SimplexPoint:
 
     @property
     def remainder(self) -> float:
-        """Mass left for the implicit last coordinate, ``1 - sum(coords)``."""
-        return max(0.0, 1.0 - sum(self.coords))
+        """Mass left for the implicit last coordinate, ``1 - sum(coords)`` clamped at 0."""
+        return _shares(self.coords)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +214,7 @@ def _poisson_fold(
     """
     terms = big_m + 1 if x.d == 1 else (x.d - 1) * math.comb(big_m + 2, 2)
     check_cap(terms, f"{what} folds {terms} terms")
-    rates = [big_m * share for share in (*x.coords, x.remainder)]
+    rates = [big_m * share for share in _shares(x.coords)]
     rows = [weight(j, rate, _poisson_log_row(big_m, rate)) for j, rate in enumerate(rates)]
     folded = rows[0]
     for row in rows[1:-1]:
@@ -240,8 +246,7 @@ def _log_multinomial_pmf(karr: np.ndarray, m: int, coords: Sequence[float]) -> n
     rem_k = m - karr.sum(axis=1)
     lf = log_factorials(m)
     out = lf[m] - lf[karr].sum(axis=1) - lf[rem_k]
-    # the d coordinates, then the remainder category with SimplexPoint.remainder's arithmetic
-    for ki, xi in zip((*karr.T, rem_k), (*coords, max(0.0, 1.0 - sum(coords)))):
+    for ki, xi in zip((*karr.T, rem_k), _shares(coords)):
         if xi > 0.0:
             out = out + ki * math.log(xi)
         else:

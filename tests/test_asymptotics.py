@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -521,14 +522,42 @@ class TestCdfExpansions:
         # step v(2m) - v(m) = -c/(2m) by |e/(c m)|: under 1/50 at m = 200 while |e| <= 4 |c|
         assert 2 * scaled[2] - scaled[1] == pytest.approx(-10.89, abs=abs(scaled[2] - scaled[1]) / 50)
 
-    def test_mse_markers(self, beta22, beta12):
+    def test_mse_markers(self, beta22, beta12, uni1):
         boundary = cdf_mse(beta12, BoundaryProfile(d=1, boundary={1: 1.0}), 50, 1000)
         assert boundary.m_opt is None
         assert boundary.m_opt_note == "none (no finite optimum in m)"
-        interior = cdf_mse(beta22, BoundaryProfile.interior_point(0.3), 50, 1000)
-        assert interior.m_opt is None
-        assert "interior case" in interior.m_opt_note
-        assert interior.terms["mse"] > 0.0
+        interior = BoundaryProfile.interior_point(0.3)
+        # the uniform cdf is linear, so b1 = 0; a model whose cdf gradient vanishes at x has V = 0
+        flat = cdf_mse(uni1, interior, 50, 1000)
+        assert (flat.m_opt, flat.m_opt_note) == (None, "none (zero bias bracket)")
+        still = cdf_mse(dataclasses.replace(beta22, cdf_grad=lambda x: np.zeros(1)), interior, 50, 1000)
+        assert (still.m_opt, still.m_opt_note) == (None, "none (zero variance factor)")
+
+    def test_interior_optimum_hand_value(self, beta22):
+        # b1 = F'' x (1 - x)/2 = 0.252 and V = f(x) sqrt(x (1 - x)/pi) with f(0.3) = 1.26, at n = 1e4
+        report = cdf_mse(beta22, BoundaryProfile.interior_point(0.3), 50, 1e4)
+        vfactor = 1.26 * math.sqrt(0.21 / math.pi)
+        assert report.m_opt == pytest.approx((4e4 * 0.252**2 / vfactor) ** (2 / 3), rel=1e-12)
+        assert report.m_opt == pytest.approx(393.2, abs=0.05)
+        assert report.m_opt_note == ""
+
+    @pytest.mark.parametrize(
+        "name, x, n",
+        [("beta22", (0.3,), 1e4), ("beta23", (0.7,), 1e6), ("product", (0.1, 0.3), 1e5)],
+    )
+    def test_interior_optimum_matches_numerical_minimizer(self, beta22, name, x, n):
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        model = {"beta22": beta22, "beta23": dirichlet_model((2, 3)), "product": make_product_cdf_model()}[name]
+        prof = BoundaryProfile.interior_point(x)
+        report = cdf_mse(model, prof, 1.0, n)
+
+        def mse(m):  # F(1 - F)/n - V m^(-1/2)/n + b1^2/m^2
+            return cdf_variance_boundary(model, prof, m, n).value + (cdf_bias_boundary(model, prof, m).bracket_m1 / m) ** 2
+
+        m_opt = report.m_opt
+        result = minimize_scalar(mse, bounds=(m_opt / 50, m_opt * 50), method="bounded", options={"xatol": 1e-7 * m_opt})
+        assert result.x == pytest.approx(m_opt, rel=1e-3)
+        assert mse(m_opt) == pytest.approx(report.mse_at_m_opt, rel=1e-12)
 
     def test_requires_cdf_model(self, dir222):
         prof = BoundaryProfile(d=2, interior={1: 0.2, 2: 0.3})

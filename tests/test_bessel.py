@@ -158,6 +158,25 @@ class TestDerivedFactors:
         assert min_coupling_factor(1e-8) < 1e-7
         assert min_coupling_factor(2.0) > 0.0
 
+    # Relative bound, derived for z = 2 lam.  Below z = 2 the value is lam e^-z (I_1 + 2 sum_k I_k) with positive
+    # terms: each I_k series stops at a term below 1e-14 of its sum while term ratios are below (z/2)^2 / 6 < 1/6
+    # (drops < 1.2e-14), the sum over k stops at a term below 1e-14 of the sum while I_(k+1)/I_k < 1/3 (drops
+    # < 1e-14), and about 40 roundings of positive terms add < 5e-15.  From z = 2 on, 1 - P multiplies P's error
+    # (< 1.3e-14: truncation and about 10 roundings at z = 2, shrinking against 1 - P as z grows) by
+    # P/(1 - P) <= 1.1.  Below lam = 1.5e-154 the value lam^2 (1 + O(lam)) is subnormal or underflows, so one
+    # subnormal step is allowed on top.  Measured worst: 9.9e-15, at lam = 1.4e-7.
+    MIN_COUPLING_REL = 3e-14
+
+    @pytest.mark.parametrize("lam", [*(10.0**e for e in range(-300, 0, 10)), 0.1, 0.25, 0.5, 0.75, 0.999, 1.0, 1.001,
+                                     1.5, 3.0, 10.0, 100.0, 1e3])
+    def test_min_coupling_factor_against_mpmath(self, lam):
+        mpmath = pytest.importorskip("mpmath")
+        # 1 - P cancels about log10(1/lam) digits for lam < 1, so mpmath works with that many more than 50
+        with mpmath.workdps(50 + max(0, int(-math.log10(lam)))):
+            z = 2 * mpmath.mpf(lam)
+            want = mpmath.mpf(lam) * (1 - mpmath.exp(-z) * (mpmath.besseli(0, z) + mpmath.besseli(1, z)))
+            assert abs(min_coupling_factor(lam) - want) <= self.MIN_COUPLING_REL * want + 5e-324
+
     @given(
         st.floats(min_value=0.0, max_value=30.0),
         st.floats(min_value=0.0, max_value=10.0),

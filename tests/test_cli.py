@@ -226,7 +226,9 @@ class TestTheory:
         code, out, _ = run_cli(["theory", "--config", config], capsys)
         assert code == 0
         report = json.loads(out)
-        assert "interior case" in report["m_opt"]
+        # (4 n b1^2 / V)^(2/3), with b1 = 0.252 and V = 1.26 sqrt(0.21 / pi)
+        assert report["m_opt"] == pytest.approx(393.2, abs=0.05)
+        assert report["mse_at_m_opt"] > 0.0
 
     # Dirichlet(2,2,2) at full J, where "shoulder": true selects the reduced-bias report
     FULL_J = {"model": {"name": "dirichlet", "alpha": [2, 2, 2]}, "profile": {"d": 2, "boundary": {"1": 1.0, "2": 0.5}},
@@ -236,6 +238,13 @@ class TestTheory:
     def test_shoulder_must_be_a_bool(self, tmp_path, capsys, shoulder):
         config = self.write_config(tmp_path, dict(self.FULL_J, shoulder=shoulder))
         message = f"error: config field 'shoulder' must be true or false, got {shoulder!r}\n"
+        assert run_cli(["theory", "--config", config], capsys) == (1, "", message)
+
+    def test_shoulder_is_refused_for_the_cdf(self, tmp_path, capsys):
+        payload = {"model": {"name": "dirichlet", "alpha": [1, 2]}, "profile": {"d": 1, "boundary": {"1": 3.0}},
+                   "estimator": "cdf", "shoulder": True, "m": 100, "n": 10000}
+        config = self.write_config(tmp_path, payload)
+        message = "error: config field 'shoulder' must be false for the cdf estimator, got True\n"
         assert run_cli(["theory", "--config", config], capsys) == (1, "", message)
 
     def test_false_shoulder_is_the_default_report(self, tmp_path, capsys):
@@ -666,7 +675,8 @@ class TestStdoutGolden:
         "sums-d1": "c1accea9431d4b7f24865454aee9424700e75df09377f4c5238350b5266699ce",
         "sums-d2": "da6d24e0bb10d1ad7cf2a335f58dd106bf7ee01d22097d102db8e95646662cbf",
         "moments-order2": "80c2810221cccb2745323c19a6f3f69253b01451a2f6c091d23ce4e121d6eda7",
-        "moments-order3": "d50cdce6cca410a15e97f6922c397d42618a4f4606f8ee039507a4b00f85386d",
+        # analytic is 5 mu_122 of one trial, each product started from the share: -0.11999999999999998 (it was -0.12)
+        "moments-order3": "b89b79f230f2e8a3c88fd65fe5c44b2e3af42f7ace18f2a59b67369e052128f7",
         "moments-order4": "439562d38f792df13014d24c11d9d083999b7c39cb02ed7c1dce12274c69fc17",
         "verify-threads1": "05190f514a45a62f2288d7efb9b69bd5bcc7bbcc4b318b6b2dd77618ce0e69e7",
         "verify-threads2": "05190f514a45a62f2288d7efb9b69bd5bcc7bbcc4b318b6b2dd77618ce0e69e7",

@@ -174,14 +174,27 @@ class TestCsvParity:
 
     @pytest.mark.parametrize(
         "text",
-        ['"0.1","0.2"\n0.3,0.4\n', '"x1","x2"\n0.1,0.2\n', "\ufeff0.1\n0.2\n", "\ufeffx1\n0.1\n",
-         "0.1\n0.2_5\n", "\n0.1\n0.2\n"],
-        ids=["quoted-cells", "quoted-header", "bom-first-row", "bom-header", "underscore-digits", "blank-line-1"],
+        ['"0.1","0.2"\n0.3,0.4\n', '"x1","x2"\n0.1,0.2\n', "0.1\n0.2_5\n", "\n0.1\n0.2\n"],
+        ids=["quoted-cells", "quoted-header", "underscore-digits", "blank-line-1"],
     )
     def test_row_reader_decides(self, text):
         assert _loadtxt_points(text, None) is None
         got = Dataset.from_csv(io.StringIO(text)).points
         assert got.tobytes() == reference_read_csv(io.StringIO(text)).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [("\ufeff0.1\n0.2\n", [[0.1], [0.2]]), ("\ufeffx1\n0.1\n", [[0.1]])],
+        ids=["bom-first-row", "bom-header"],
+    )
+    def test_byte_order_mark_is_dropped(self, text, want):
+        # the marked first row is data, not a header; the rest reads as it would without the mark
+        assert Dataset.from_csv(io.StringIO(text)).points.tolist() == want
+
+    def test_byte_order_mark_of_a_utf8_sig_file(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_text("0.1,0.2\n0.3,0.4\n", encoding="utf-8-sig")
+        assert Dataset.from_csv(str(path)).points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
     def test_lone_carriage_returns_split_rows_in_a_file(self, tmp_path):
         path = tmp_path / "cr.csv"

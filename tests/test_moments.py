@@ -12,6 +12,8 @@ from bernstein_simplex import (
     fourth_moment_scaling,
 )
 
+from bernstein_simplex.asymptotics import _bias_brackets
+from bernstein_simplex.moments import _trial_moment
 from conftest import binom_pmf_exact, reference_central_moment
 
 
@@ -119,6 +121,32 @@ class TestClosedForms:
         assert central_moment_bruteforce(q) == pytest.approx(0.0, abs=1e-14)
         q4 = MomentQuery(m=4, x=SimplexPoint.of(1.0), indices=(1, 1, 1, 1))
         assert central_moment_bruteforce(q4) == pytest.approx(0.0, abs=1e-14)
+
+
+class TestBracketMoments:
+    """m times the per-trial sigma and mu3 that the bias brackets read, against the fold, entry by entry."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bracket_tensors_match_the_fold(self, d):
+        for x in edge_and_interior_points(d, seed=30 + d):
+            for index in itertools.chain(itertools.product(range(d), repeat=2), itertools.product(range(d), repeat=3)):
+                unit = np.zeros((d,) * len(index))
+                unit[index] = 1.0
+                derivative = lambda r: unit if r == len(index) else np.zeros((d,) * r)  # noqa: E731
+                # the cdf's brackets at lam = 0: a unit Hessian puts sigma_ij / 2 into b1, a unit third derivative
+                # puts mu3_ijk / 6 into b2
+                b1, b2 = _bias_brackets(derivative, np.array(x.coords), np.zeros(d), cube=False)
+                trial = 2.0 * b1 if len(index) == 2 else 6.0 * b2
+                for m in (1, 4, 9):
+                    q = MomentQuery(m=m, x=x, indices=tuple(i + 1 for i in index))
+                    assert abs(m * trial - central_moment_bruteforce(q)) <= 1e-12, (x, index, m)
+
+    def test_one_entry_or_a_whole_tensor(self):
+        x = (0.2, 0.3, 0.1)
+        for order in (2, 3, 4):
+            tensor = _trial_moment(x, np.indices((3,) * order))
+            for index in np.ndindex(tensor.shape):
+                assert tensor[index] == _trial_moment(x, index)
 
 
 class TestFourthMoment:
