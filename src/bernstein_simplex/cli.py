@@ -148,8 +148,8 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     _check_kind(estimator, "config field 'estimator'")
     _check_mn(cfg["m"], cfg["n"])
     shoulder = cfg.get("shoulder", False)
-    if not (shoulder is False or shoulder is True and estimator == "density"):  # the reduced-bias report is the density's
-        rule = "true or false" if estimator == "density" else "false for the cdf estimator"
+    if not isinstance(shoulder, bool) or shoulder and estimator == "cdf":  # the reduced-bias report is the density's
+        rule = "false for the cdf estimator" if isinstance(shoulder, bool) else "true or false"
         raise ValidationError(f"config field 'shoulder' must be {rule}, got {shoulder!r}")
     m, n = float(cfg["m"]), float(cfg["n"])
     if estimator == "cdf":

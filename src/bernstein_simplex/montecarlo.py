@@ -109,14 +109,15 @@ def _run(model: DensityModel, cell: _Cell, replicates: int, seed: int, threads: 
     def run_one(r: int) -> float:
         return cell.estimator(sample(model, cell.n, replicate_rng(seed, r)), cell.m, cell.point)
 
-    # one worker is the calling thread: a pool thread's own glibc malloc arena raised verify's peak memory 40%
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        values = np.array(list((pool.map if threads > 1 else map)(run_one, range(replicates))), dtype=float)
+    if threads == 1:  # the calling thread: a pool thread's own glibc malloc arena raised verify's peak memory 40%
+        values = np.array([run_one(r) for r in range(replicates)], dtype=float)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            values = np.array(list(pool.map(run_one, range(replicates))), dtype=float)
     mean = float(values.mean())
     bias = mean - cell.truth
     var = float(values.var(ddof=1))
-    centered = values - mean
-    m4 = float(np.mean(centered**4))
+    m4 = float(np.mean((values - mean) ** 4))
     var_of_var = (m4 - var**2 * (replicates - 3) / (replicates - 1)) / replicates
     return McRow(
         m=cell.m,
@@ -265,8 +266,7 @@ def run_experiment(experiment: Experiment, threads: int | None = None) -> McResu
 
 def band_summary(result: McResult) -> tuple[bool, list[str]]:
     """Check each empirical bias and variance against theory bands of ``_BAND_WIDTH`` standard errors."""
-    lines = []
-    all_ok = True
+    lines, all_ok = [], True
     for row in result.rows:
         bias_ok = abs(row.bias - row.theory_bias) <= _BAND_WIDTH * row.bias_se
         var_ok = abs(row.var - row.theory_var) <= _BAND_WIDTH * row.var_se

@@ -527,6 +527,7 @@ class TestCdfExpansions:
         assert boundary.m_opt is None
         assert boundary.m_opt_note == "none (no finite optimum in m)"
         interior = BoundaryProfile.interior_point(0.3)
+        assert cdf_mse(beta22, interior, 50, 1000).terms["mse"] > 0.0
         # the uniform cdf is linear, so b1 = 0; a model whose cdf gradient vanishes at x has V = 0
         flat = cdf_mse(uni1, interior, 50, 1000)
         assert (flat.m_opt, flat.m_opt_note) == (None, "none (zero bias bracket)")

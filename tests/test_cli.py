@@ -240,10 +240,18 @@ class TestTheory:
         message = f"error: config field 'shoulder' must be true or false, got {shoulder!r}\n"
         assert run_cli(["theory", "--config", config], capsys) == (1, "", message)
 
+    # Dirichlet(1,2) at lambda = 3 with the cdf estimator, which has no reduced-bias report
+    CDF = {"model": {"name": "dirichlet", "alpha": [1, 2]}, "profile": {"d": 1, "boundary": {"1": 3.0}},
+           "estimator": "cdf", "m": 100, "n": 10000}
+
+    @pytest.mark.parametrize("shoulder", ["false", 1, None], ids=["string", "int", "null"])
+    def test_shoulder_must_be_a_bool_for_the_cdf(self, tmp_path, capsys, shoulder):
+        config = self.write_config(tmp_path, dict(self.CDF, shoulder=shoulder))
+        message = f"error: config field 'shoulder' must be true or false, got {shoulder!r}\n"
+        assert run_cli(["theory", "--config", config], capsys) == (1, "", message)
+
     def test_shoulder_is_refused_for_the_cdf(self, tmp_path, capsys):
-        payload = {"model": {"name": "dirichlet", "alpha": [1, 2]}, "profile": {"d": 1, "boundary": {"1": 3.0}},
-                   "estimator": "cdf", "shoulder": True, "m": 100, "n": 10000}
-        config = self.write_config(tmp_path, payload)
+        config = self.write_config(tmp_path, dict(self.CDF, shoulder=True))
         message = "error: config field 'shoulder' must be false for the cdf estimator, got True\n"
         assert run_cli(["theory", "--config", config], capsys) == (1, "", message)
 
