@@ -237,14 +237,13 @@ def _boundary_factor(profile: BoundaryProfile, lead: float = 1.0) -> float:
     return lead * psi(profile.slice_point(), profile.interior) * prod
 
 
-def _density_variance(
-    model: DensityModel, profile: BoundaryProfile, m: float, n: float
-) -> tuple[float, float]:
-    """The leading variance term at ``(m, n)`` and its m- and n-free factor."""
+def _density_variance(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -> tuple[float, float, int]:
+    """The leading variance term at ``(m, n)``, its m- and n-free factor and its exponent ``a = d + |J|`` of ``m^(a/2)``."""
     _check_model(model, profile)
     _check_mn(m, n)
     vfactor = _boundary_factor(profile, float(model.density(profile.slice_point())))
-    return m ** (0.5 * (profile.d + profile.j_size)) / n * vfactor, vfactor
+    a = profile.d + profile.j_size
+    return m ** (0.5 * a) / n * vfactor, vfactor, a
 
 
 def density_variance_leading(
@@ -255,13 +254,15 @@ def density_variance_leading(
 
 
 _DENSITY_VAR_NOTE = "n^-1 m^((d+|J|)/2) (O(m^-1) + o(1) [J not full])"
+_NO_FINITE_OPTIMUM = "none (no finite optimum in m)"
 
 
 def _mse_optimum(bracket: float, order: int, a: int, vfactor: float, n: float, base: float = 0.0) -> tuple[float, float] | str:
     """Minimizer of ``base + bracket^2 m^(-2 order) + vfactor m^(a/2) / n`` and the mse it attains.
 
     In closed form ``m* = (n bracket^2 / ((a / 4 order) vfactor))^(2 / (a + 4 order))``.
-    Returns the reason instead when no interior optimum exists.
+    Returns the reason instead when no interior optimum exists; with ``scale = (a / 4 order) vfactor < 0``
+    the mse falls without bound as m grows.
     """
     if bracket == 0.0:
         return "none (zero bias bracket)"
@@ -270,6 +271,8 @@ def _mse_optimum(bracket: float, order: int, a: int, vfactor: float, n: float, b
     q = 4.0 * order
     s = a + q
     scale = (a / q) * vfactor
+    if scale < 0.0:
+        return _NO_FINITE_OPTIMUM
     m_opt = n ** (2.0 / s) * abs(bracket) ** (4.0 / s) / scale ** (2.0 / s)
     mse = (
         n ** (-q / s)
@@ -293,14 +296,29 @@ def density_m_opt(
     return None if report.m_opt is None else (report.m_opt, report.mse_at_m_opt)
 
 
+def _in_float_range(report_fn: Callable[..., "ExpansionReport"]) -> Callable[..., "ExpansionReport"]:
+    """``report_fn`` refusing, naming m and n, a report that overflows, divides by zero or is not finite."""
+    @functools.wraps(report_fn)
+    def checked(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -> "ExpansionReport":
+        try:
+            report = report_fn(model, profile, m, n)
+        except (OverflowError, ZeroDivisionError):
+            report = None
+        if report is None or not np.isfinite([*report.terms.values(), report.m_opt or 0.0, report.mse_at_m_opt or 0.0]).all():
+            raise ValidationError(f"the expansion at m={m!r}, n={n!r} leaves the float range")
+        return report
+    return checked
+
+
+@_in_float_range
 def density_mse(
     model: DensityModel, profile: BoundaryProfile, m: float, n: float
 ) -> "ExpansionReport":
     """Two-term mse of the density estimator: leading variance + squared leading bias."""
     bias = density_bias_boundary(model, profile, m)
-    var, vfactor = _density_variance(model, profile, m, n)
+    var, vfactor, a = _density_variance(model, profile, m, n)
     mse = var + (bias.bracket_m1 / m) ** 2
-    opt = _mse_optimum(bias.bracket_m1, 1, profile.d + profile.j_size, vfactor, n)
+    opt = _mse_optimum(bias.bracket_m1, 1, a, vfactor, n)
     terms, notes = _two_term_entries(bias, var, _DENSITY_VAR_NOTE, mse)
     return _report("density", model, profile, m, n, terms, notes, opt)
 
@@ -344,15 +362,16 @@ def density_m_opt_shoulder(
     return None if report.m_opt is None else (report.m_opt, report.mse_at_m_opt)
 
 
+@_in_float_range
 def density_mse_shoulder(
     model: DensityModel, profile: BoundaryProfile, m: float, n: float
 ) -> "ExpansionReport":
     """Mse with the m^-4 squared bias term, valid under the shoulder condition."""
     _check_mn(m, n)
     b2 = shoulder_bracket(model, profile)
-    var, vfactor = _density_variance(model, profile, m, n)
+    var, vfactor, a = _density_variance(model, profile, m, n)
     if profile.is_full_boundary:
-        opt = _mse_optimum(b2, 2, 2 * profile.d, vfactor, n)
+        opt = _mse_optimum(b2, 2, a, vfactor, n)
     else:
         opt = "none (optimum defined only for full J)"
     terms = {
@@ -413,23 +432,23 @@ def cdf_variance_boundary(
     _check_mn(m, n)
     if profile.has_zero_lambda:
         return VarianceExpansion(0.0, "exact (estimator vanishes a.s.)")
-    d = profile.d
-    xs = profile.slice_point()
-    grad_s = np.asarray(model.cdf_grad(xs), dtype=float)
-    total = 0.0
-    for i in range(1, d + 1):
-        if i in profile.j_set:
-            total += grad_s[i - 1] * min_coupling_factor(profile.boundary[i])
-        else:
-            xi = profile.interior[i]
-            total -= grad_s[i - 1] * math.sqrt(m) * math.sqrt(xi * (1.0 - xi) / math.pi)
-    value = total / (n * m)
+    coupling, vfactor, base = _cdf_variance_terms(model, profile, n)
+    value = (coupling - math.sqrt(m) * vfactor) / (n * m)
     if profile.j_size == 0:
-        f_val = float(model.cdf(profile.realized_point(m)))
-        value += f_val * (1.0 - f_val) / n
+        value += base
     return VarianceExpansion(value=value, order_note=_CDF_VAR_NOTE)
 
 
+def _cdf_variance_terms(model: DensityModel, profile: BoundaryProfile, n: float) -> tuple[float, float, float]:
+    """At the slice point: ``sum_J dF_i P{min coupling}(lambda_i)``, ``V = sum_i dF_i sqrt(x_i (1 - x_i)/pi)`` (0 on J), ``F(1 - F)/n``."""
+    x = profile.slice_point()
+    grad = np.asarray(model.cdf_grad(x), dtype=float)
+    coupling = sum(grad[i - 1] * min_coupling_factor(lam) for i, lam in sorted(profile.boundary.items()))
+    f_val = float(model.cdf(x))
+    return coupling, float(np.dot(grad, np.sqrt(x * (1.0 - x) / math.pi))), f_val * (1.0 - f_val) / n
+
+
+@_in_float_range
 def cdf_mse(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -> "ExpansionReport":
     """Mse of the smoothed cdf estimator: variance expansion + squared bias.
 
@@ -442,12 +461,10 @@ def cdf_mse(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -
     if profile.has_zero_lambda:
         opt = "none (estimator vanishes a.s.; mse exactly 0)"
     elif profile.j_size > 0:
-        opt = "none (no finite optimum in m)"
+        opt = _NO_FINITE_OPTIMUM
     else:
-        x = profile.slice_point()
-        vfactor = float(np.dot(model.cdf_grad(x), np.sqrt(x * (1.0 - x) / math.pi)))
-        f_val = float(model.cdf(x))
-        opt = _mse_optimum(bias.bracket_m1, 1, -1, -vfactor, n, f_val * (1.0 - f_val) / n)
+        _, vfactor, base = _cdf_variance_terms(model, profile, n)
+        opt = _mse_optimum(bias.bracket_m1, 1, -1, -vfactor, n, base)
     terms, notes = _two_term_entries(bias, var.value, var.order_note, var.value + bias.value**2)
     return _report("cdf", model, profile, m, n, terms, notes, opt)
 

@@ -18,13 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .asymptotics import (
-    BoundaryProfile,
-    cdf_bias_boundary,
-    cdf_variance_boundary,
-    density_bias_boundary,
-    density_variance_leading,
-)
+from .asymptotics import BoundaryProfile, cdf_mse, density_mse
 from .errors import ValidationError, _as_int, _as_order, _as_sample_size, _as_seed
 from .estimators import Dataset, bernstein_cdf, bernstein_density
 from .models import DensityModel, dirichlet_model, uniform_model
@@ -92,15 +86,13 @@ class _Cell:
 
 
 def _setup(model: DensityModel, profile: BoundaryProfile, m: int, n: int, kind: str) -> _Cell:
-    """The cell's realized point, true value, estimator and theory terms: the one branch on ``kind``."""
+    """The cell's realized point, true value, estimator and theory terms, the report's: the one branch on ``kind``."""
     x = profile.realized_point(m)
     if kind == "density":
-        bias, var = density_bias_boundary(model, profile, m).value, density_variance_leading(model, profile, m, n)
-        truth, estimator = float(model.density(x)), bernstein_density
-    else:  # the cdf theory checks that the model has a cdf
-        bias, var = cdf_bias_boundary(model, profile, m).value, cdf_variance_boundary(model, profile, m, n).value
-        truth, estimator = float(model.cdf(x)), bernstein_cdf
-    return _Cell(m, n, SimplexPoint.of(x), truth, estimator, bias, var)
+        report, truth, estimator = density_mse(model, profile, m, n), float(model.density(x)), bernstein_density
+    else:  # the cdf report checks that the model has a cdf
+        report, truth, estimator = cdf_mse(model, profile, m, n), float(model.cdf(x)), bernstein_cdf
+    return _Cell(m, n, SimplexPoint.of(x), truth, estimator, report.terms["bias"], report.terms["var_leading"])
 
 
 def _run(model: DensityModel, cell: _Cell, replicates: int, seed: int, threads: int) -> McRow:
@@ -299,6 +291,8 @@ def rate_fit(points: Sequence[tuple[float, float]]) -> RateFit:
     ys = np.array([p[1] for p in points], dtype=float)
     if not np.all((0 < ns) & (ns < np.inf) & (0 < ys) & (ys < np.inf)):
         raise ValidationError("rate fitting needs finite, strictly positive inputs")
+    if np.unique(ns).size < 2:
+        raise ValidationError(f"need at least 2 distinct n to fit a rate, got {np.unique(ns).tolist()}")
     lx, ly = np.log(ns), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     residuals = ly - (slope * lx + intercept)

@@ -65,7 +65,7 @@ RETIRED = {
 
 #: public functions and classes that no module of the package uses: entry points for library callers only
 LIBRARY_ONLY = {
-    "density_m_opt", "density_m_opt_shoulder", "fourth_moment_scaling", "log_multinomial_pmf", "mc_bias_variance",
+    "density_m_opt", "density_m_opt_shoulder", "density_variance_leading", "fourth_moment_scaling", "log_multinomial_pmf", "mc_bias_variance",
     "min_coupling_limit", "pmf_power_sum_scaled", "rate_fit",
 }
 
@@ -128,6 +128,21 @@ def test_each_precondition_has_one_rule():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
     for text, module in ONE_RULE.items():
         assert sorted(name for name, source in sources.items() if text in source) == [module], text
+
+
+#: what montecarlo takes from asymptotics: verify's theory columns are the terms of the reports that theory prints
+MONTECARLO_FROM_ASYMPTOTICS = {"BoundaryProfile", "cdf_mse", "density_mse"}
+
+
+def test_verify_reads_its_theory_from_the_reports():
+    # a term function imported here would be a second path from the expansions to verify
+    source = (pathlib.Path(bernstein_simplex.__file__).parent / "montecarlo.py").read_text(encoding="utf-8")
+    imported = {
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "asymptotics"
+        for alias in node.names
+    }
+    assert imported == MONTECARLO_FROM_ASYMPTOTICS
 
 
 def test_the_cli_checks_only_its_own_input():

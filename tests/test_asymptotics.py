@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -656,3 +657,42 @@ class TestRealBandwidthAndSampleSize:
         # True ran as m = 1; a string ended in a TypeError
         with pytest.raises(ValidationError, match=message):
             report(uni1, BoundaryProfile(d=1, boundary={1: 1.0}), m, n)
+
+
+class TestNoFiniteOptimum:
+    """A negative variance scale ``(a / 4 order) vfactor`` lets the mse fall without bound as m grows."""
+
+    @pytest.mark.parametrize(
+        "report,field,value",
+        [(cdf_mse, "cdf_grad", lambda x: -np.ones(1)), (density_mse, "density", lambda x: -1.0)],
+        ids=["cdf-gradient", "density"],
+    )
+    def test_negative_scale_has_no_optimum(self, beta22, report, field, value):
+        # the closed form gave the complex m* (-229.36-397.27j) for the cdf and (21.32-65.61j) for the density
+        result = report(dataclasses.replace(beta22, **{field: value}), BoundaryProfile.interior_point(0.3), 50, 1e4)
+        assert (result.m_opt, result.mse_at_m_opt, result.m_opt_note) == (None, None, "none (no finite optimum in m)")
+        assert json.loads(result.to_json())["m_opt"] == "none (no finite optimum in m)"
+
+
+class TestFloatRange:
+    """A report whose numbers leave float range is refused, naming m and n, instead of ending in a traceback."""
+
+    @pytest.mark.parametrize(
+        "report,profile,m,n",
+        [(density_mse, BoundaryProfile.interior_point(0.3), 1e200, 1e4),  # OverflowError in b2 / m**2
+         (density_mse, BoundaryProfile.interior_point(0.3), 1e-300, 1e4),  # ZeroDivisionError there
+         (cdf_mse, BoundaryProfile.interior_point(0.3), 50, 1e-300),  # OverflowError in the optimum
+         (density_mse_shoulder, BoundaryProfile(d=1, boundary={1: 1.0}), 1e200, 1e4)],
+        ids=["density-large-m", "density-tiny-m", "cdf-tiny-n", "shoulder-large-m"],
+    )
+    def test_refused_naming_m_and_n(self, beta22, uni1, report, profile, m, n):
+        model = uni1 if report is density_mse_shoulder else beta22
+        with pytest.raises(ValidationError, match=re.escape(f"the expansion at m={m!r}, n={n!r} leaves the float range")):
+            report(model, profile, m, n)
+
+    def test_infinite_term_is_refused(self, beta22):
+        # m^(1/2)/n overflows to inf without raising, so no JSON carries Infinity
+        with pytest.raises(ValidationError, match=re.escape("the expansion at m=1e+20, n=1e-300 leaves the float range")):
+            density_mse(beta22, BoundaryProfile.interior_point(0.3), 1e20, 1e-300)
+        assert density_m_opt(beta22, BoundaryProfile.interior_point(0.3), 1e4) is not None
+

@@ -261,6 +261,13 @@ class TestTheory:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TestStdoutGolden.DIGESTS["theory-density"]
 
+    @pytest.mark.parametrize("m,n", [(1e200, 1e4), (1e-300, 1e4)], ids=["large-m", "tiny-m"])
+    def test_expansion_outside_float_range(self, tmp_path, capsys, m, n):
+        # an OverflowError or ZeroDivisionError traceback before
+        payload = {"model": {"name": "dirichlet", "alpha": [2, 2]}, "profile": {"d": 1, "interior": {"1": 0.3}}, "m": m, "n": n}
+        message = f"error: the expansion at m={m!r}, n={n!r} leaves the float range\n"
+        assert run_cli(["theory", "--config", self.write_config(tmp_path, payload)], capsys) == (1, "", message)
+
     def test_missing_key(self, tmp_path, capsys):
         config = self.write_config(tmp_path, {"model": {"name": "uniform", "d": 1}})
         code, _, err = run_cli(["theory", "--config", config], capsys)

@@ -9,6 +9,9 @@ from bernstein_simplex import (
     Experiment,
     ValidationError,
     band_summary,
+    cdf_mse,
+    density_mse,
+    dirichlet_model,
     mc_bias_variance,
     rate_fit,
     run_experiment,
@@ -155,6 +158,13 @@ class TestSetupBeforeSampling:
             run_experiment(experiment)
         assert calls == []
 
+    def test_expansion_outside_float_range(self, beta22, monkeypatch):
+        # m = 10**200 ended in "OverflowError: int too large to convert to float" in the bias's m**2
+        calls = _count_samples(monkeypatch)
+        with pytest.raises(ValidationError, match=r"the expansion at m=10{200}, n=100 leaves the float range"):
+            mc_bias_variance(beta22, 0.3, 10**200, 100, 2, 1, threads=1)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "threads,message",
         [(0, "must be >= 1, got 0"), (-1, "must be >= 1, got -1"), (2.5, "must be an integer, got 2.5")],
@@ -169,6 +179,24 @@ class TestSetupBeforeSampling:
         with pytest.raises(ValidationError, match="'threads' " + message):
             run_experiment(experiment, threads=threads)
         assert calls == []
+
+
+#: verify's three benchmark cells: the C07 cell, a uniform d = 2 cell at J = {1}, a Beta(1,2) cdf cell at J = {1}
+VERIFY_CELLS = {
+    "beta22-density": ((2, 2), BoundaryProfile.interior_point(0.3), 40, "density"),
+    "uniform2-density": (None, BoundaryProfile(d=2, boundary={1: 1.0}, interior={2: 0.3}), 50, "density"),
+    "beta12-cdf": ((1, 2), BoundaryProfile(d=1, boundary={1: 1.0}), 100, "cdf"),
+}
+
+
+@pytest.mark.parametrize("alpha,profile,m,kind", VERIFY_CELLS.values(), ids=VERIFY_CELLS)
+def test_theory_columns_are_the_report_terms(uni2, alpha, profile, m, kind):
+    # one path from the expansions to verify: the cell's theory is the report theory prints, to the bit
+    model = uni2 if alpha is None else dirichlet_model(alpha)
+    row = mc_bias_variance(model, profile, m, 50, replicates=2, seed=5, kind=kind, threads=1)
+    report = (density_mse if kind == "density" else cdf_mse)(model, profile, m, 50)
+    assert (row.theory_bias, row.theory_var) == (report.terms["bias"], report.terms["var_leading"])
+    assert row.theory_mse == report.terms["var_leading"] + report.terms["bias"] ** 2
 
 
 class TestExperiments:
@@ -225,6 +253,12 @@ class TestRateFit:
             rate_fit([(10.0, 1.0), (100.0, 0.1)])
         with pytest.raises(ValidationError):
             rate_fit([(10.0, 1.0), (100.0, 0.1), (1000.0, -0.01)])
+
+    def test_needs_two_distinct_n(self):
+        # a single n gave slope 0.1297 and r^2 0 with only a RankWarning
+        with pytest.raises(ValidationError, match=r"need at least 2 distinct n to fit a rate, got \[10.0\]"):
+            rate_fit([(10, 1.0), (10, 2.0), (10, 3.0)])
+        assert rate_fit([(10, 1.0), (10, 2.0), (100, 0.1)]).slope < 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_are_refused(self, bad):
