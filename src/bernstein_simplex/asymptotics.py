@@ -304,7 +304,7 @@ def _in_float_range(report_fn: Callable[..., "ExpansionReport"]) -> Callable[...
             report = report_fn(model, profile, m, n)
         except (OverflowError, ZeroDivisionError):
             report = None
-        if report is None or not np.isfinite([*report.terms.values(), report.m_opt or 0.0, report.mse_at_m_opt or 0.0]).all():
+        if report is None or not all(map(math.isfinite, [*report.terms.values(), report.m_opt or 0.0, report.mse_at_m_opt or 0.0])):
             raise ValidationError(f"the expansion at m={m!r}, n={n!r} leaves the float range")
         return report
     return checked
