@@ -433,10 +433,7 @@ def cdf_variance_boundary(
     if profile.has_zero_lambda:
         return VarianceExpansion(0.0, "exact (estimator vanishes a.s.)")
     coupling, vfactor, base = _cdf_variance_terms(model, profile, n)
-    value = (coupling - math.sqrt(m) * vfactor) / (n * m)
-    if profile.j_size == 0:
-        value += base
-    return VarianceExpansion(value=value, order_note=_CDF_VAR_NOTE)
+    return VarianceExpansion(value=(coupling - math.sqrt(m) * vfactor) / (n * m) + base, order_note=_CDF_VAR_NOTE)
 
 
 def _cdf_variance_terms(model: DensityModel, profile: BoundaryProfile, n: float) -> tuple[float, float, float]:
@@ -444,7 +441,7 @@ def _cdf_variance_terms(model: DensityModel, profile: BoundaryProfile, n: float)
     x = profile.slice_point()
     grad = np.asarray(model.cdf_grad(x), dtype=float)
     coupling = sum(grad[i - 1] * min_coupling_factor(lam) for i, lam in sorted(profile.boundary.items()))
-    f_val = float(model.cdf(x))
+    f_val = 0.0 if profile.j_size else float(model.cdf(x))  # F is 0 on the slice, whose J coordinates are 0
     return coupling, float(np.dot(grad, np.sqrt(x * (1.0 - x) / math.pi))), f_val * (1.0 - f_val) / n
 
 
