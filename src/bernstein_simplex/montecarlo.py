@@ -86,7 +86,7 @@ class _Cell:
 
 
 def _setup(model: DensityModel, profile: BoundaryProfile, m: int, n: int, kind: str) -> _Cell:
-    """The cell's realized point, true value, estimator and theory terms, the report's: the one branch on ``kind``."""
+    """The cell's realized point, true value, estimator and its report's theory terms: the one branch on ``kind``."""
     x = profile.realized_point(m)
     if kind == "density":
         report, truth, estimator = density_mse(model, profile, m, n), float(model.density(x)), bernstein_density

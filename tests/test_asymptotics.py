@@ -694,5 +694,3 @@ class TestFloatRange:
         # m^(1/2)/n overflows to inf without raising, so no JSON carries Infinity
         with pytest.raises(ValidationError, match=re.escape("the expansion at m=1e+20, n=1e-300 leaves the float range")):
             density_mse(beta22, BoundaryProfile.interior_point(0.3), 1e20, 1e-300)
-        assert density_m_opt(beta22, BoundaryProfile.interior_point(0.3), 1e4) is not None
-
