@@ -1,7 +1,9 @@
 """Digests of what the CLI prints for round 0 of every benchmark workload, to compare two checkouts.
 
 Run from anywhere, with the checkout to measure given by ``--root``
-(default: the checkout this script is in):
+(default: the checkout this script is in).  ``--root`` and ``--compare``
+take the path of a checkout, a directory holding
+``src/bernstein_simplex``; any other path exits 2 with an ``error:`` line:
 
     python3 scripts/stdout_digests.py --root /path/to/checkout
     python3 scripts/stdout_digests.py --compare /path/to/parent
@@ -20,8 +22,9 @@ and prints one line per call whose output differs: for stdout, per column
 (a CSV column, or the path of a number in a JSON document), the largest
 relative difference among its numeric cells and the row it is in.  The
 last line counts the calls that are identical.  It exits 0 when every
-call is, and 1 when any call differs in exit code, stdout or stderr, or
-the two checkouts make different numbers of calls.
+call is, 1 when any call differs in exit code, stdout or stderr, or
+the two checkouts make different numbers of calls, and 2 with an
+``error:`` line when either checkout fails to run at all.
 """
 
 import argparse
@@ -114,8 +117,12 @@ def _compare(root: str, other: str) -> int:
     script = os.path.abspath(__file__)
     runs = []
     for checkout in (other, root):
-        dump = subprocess.run([sys.executable, script, "--root", checkout, "--dump"],
-                              capture_output=True, text=True, check=True).stdout.splitlines()
+        child = subprocess.run([sys.executable, script, "--root", checkout, "--dump"], capture_output=True, text=True)
+        if child.returncode:
+            last = child.stderr.strip().splitlines()[-1:] or [f"exit status {child.returncode}"]
+            print(f"error: the run of {checkout} failed: {last[0]}", file=sys.stderr)
+            return 2
+        dump = child.stdout.splitlines()
         print(dump[0], flush=True)
         runs.append([json.loads(line) for line in dump[1:]])
     same = 0
@@ -142,6 +149,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)  # JSON per call, for --compare
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
+    for flag, checkout in (("--root", root), ("--compare", args.compare)):
+        src = checkout and os.path.join(os.path.abspath(checkout), "src")
+        if src and not os.path.isfile(os.path.join(src, "bernstein_simplex", "__init__.py")):
+            print(f"error: no package source under {src}; {flag} takes the path of a checkout", file=sys.stderr)
+            return 2
     if args.compare:
         return _compare(root, os.path.abspath(args.compare))
     sha = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731

@@ -152,6 +152,27 @@ def psi(x: "SimplexPoint | float | Sequence[float]", subset: Iterable[int]) -> f
     return inner ** -0.5
 
 
+class _FloatRangeError(ValidationError):
+    """The refusal of :func:`_in_float_range`; a guarded function that calls another restates it with its own m and n."""
+
+
+def _in_float_range(fn: Callable) -> Callable:
+    """``fn(model, profile, m[, n])`` refusing, naming m and n, a result (a report's terms and optimum, else its ``value``) that overflows, divides by zero or is not finite."""
+    @functools.wraps(fn)
+    def checked(model: DensityModel, profile: BoundaryProfile, m: float, n: float | None = None):
+        try:
+            result = fn(model, profile, m) if n is None else fn(model, profile, m, n)
+            numbers = ([*result.terms.values(), result.m_opt or 0.0, result.mse_at_m_opt or 0.0]
+                       if isinstance(result, ExpansionReport) else [getattr(result, "value", result)])
+            finite = all(map(math.isfinite, numbers))
+        except (OverflowError, ZeroDivisionError, _FloatRangeError):
+            finite = False
+        if not finite:
+            raise _FloatRangeError(f"the expansion at m={m!r}" + ("" if n is None else f", n={n!r}") + " leaves the float range")
+        return result
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # bias of both estimators
 # ---------------------------------------------------------------------------
@@ -208,6 +229,7 @@ def _bias_expansion(b1: float, b2: float, m: float, note: str) -> BiasExpansion:
     return BiasExpansion(bracket_m1=b1, bracket_m2=b2, m=float(m), value=b1 / m + b2 / m**2, order_note=note)
 
 
+@_in_float_range
 def density_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: float) -> BiasExpansion:
     """Two-term bias of the density estimator at a near-boundary profile.
 
@@ -246,6 +268,7 @@ def _density_variance(model: DensityModel, profile: BoundaryProfile, m: float, n
     return m ** (0.5 * a) / n * vfactor, vfactor, a
 
 
+@_in_float_range
 def density_variance_leading(
     model: DensityModel, profile: BoundaryProfile, m: float, n: float
 ) -> float:
@@ -294,20 +317,6 @@ def density_m_opt(
     """
     report = density_mse(model, profile, 1.0, n)
     return None if report.m_opt is None else (report.m_opt, report.mse_at_m_opt)
-
-
-def _in_float_range(report_fn: Callable[..., "ExpansionReport"]) -> Callable[..., "ExpansionReport"]:
-    """``report_fn`` refusing, naming m and n, a report that overflows, divides by zero or is not finite."""
-    @functools.wraps(report_fn)
-    def checked(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -> "ExpansionReport":
-        try:
-            report = report_fn(model, profile, m, n)
-        except (OverflowError, ZeroDivisionError):
-            report = None
-        if report is None or not all(map(math.isfinite, [*report.terms.values(), report.m_opt or 0.0, report.mse_at_m_opt or 0.0])):
-            raise ValidationError(f"the expansion at m={m!r}, n={n!r} leaves the float range")
-        return report
-    return checked
 
 
 @_in_float_range
@@ -394,6 +403,7 @@ _CDF_BIAS_NOTE = "O(m^-3) + o(m^-3/2) [J not full]"
 _CDF_VAR_NOTE = "O(n^-1 m^-2) + o(n^-1 m^-1/2) [J not full]"
 
 
+@_in_float_range
 def cdf_bias_boundary(model: DensityModel, profile: BoundaryProfile, m: float) -> BiasExpansion:
     """Two-term bias of the smoothed cdf estimator at a near-boundary profile.
 
@@ -417,6 +427,7 @@ class VarianceExpansion:
     order_note: str
 
 
+@_in_float_range
 def cdf_variance_boundary(
     model: DensityModel, profile: BoundaryProfile, m: float, n: float
 ) -> VarianceExpansion:
@@ -427,22 +438,22 @@ def cdf_variance_boundary(
     variance by a term of order ``n^-1 m^-1/2``.  Profiles pinned to the
     boundary (a zero scale parameter) give exactly zero.
     """
+    return _cdf_variance(model, profile, m, n)[0]
+
+
+def _cdf_variance(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -> tuple[VarianceExpansion, float, float]:
+    """The variance, ``V = sum_i dF_i sqrt(x_i (1 - x_i)/pi)`` (0 on J) and ``F(1 - F)/n``, from one evaluation of the model at the slice point."""
     _check_model(model, profile)
     model.require_cdf()
     _check_mn(m, n)
     if profile.has_zero_lambda:
-        return VarianceExpansion(0.0, "exact (estimator vanishes a.s.)")
-    coupling, vfactor, base = _cdf_variance_terms(model, profile, n)
-    return VarianceExpansion(value=(coupling - math.sqrt(m) * vfactor) / (n * m) + base, order_note=_CDF_VAR_NOTE)
-
-
-def _cdf_variance_terms(model: DensityModel, profile: BoundaryProfile, n: float) -> tuple[float, float, float]:
-    """At the slice point: ``sum_J dF_i P{min coupling}(lambda_i)``, ``V = sum_i dF_i sqrt(x_i (1 - x_i)/pi)`` (0 on J), ``F(1 - F)/n``."""
+        return VarianceExpansion(0.0, "exact (estimator vanishes a.s.)"), 0.0, 0.0
     x = profile.slice_point()
     grad = np.asarray(model.cdf_grad(x), dtype=float)
     coupling = sum(grad[i - 1] * min_coupling_factor(lam) for i, lam in sorted(profile.boundary.items()))
     f_val = 0.0 if profile.j_size else float(model.cdf(x))  # F is 0 on the slice, whose J coordinates are 0
-    return coupling, float(np.dot(grad, np.sqrt(x * (1.0 - x) / math.pi))), f_val * (1.0 - f_val) / n
+    vfactor, base = float(np.dot(grad, np.sqrt(x * (1.0 - x) / math.pi))), f_val * (1.0 - f_val) / n
+    return VarianceExpansion((coupling - math.sqrt(m) * vfactor) / (n * m) + base, _CDF_VAR_NOTE), vfactor, base
 
 
 @_in_float_range
@@ -454,13 +465,12 @@ def cdf_mse(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -
     b1^2/m^2``, with ``V = sum_i dF_i sqrt(x_i (1 - x_i)/pi)``, is least at ``m* = (4 n b1^2/V)^(2/3)``.
     """
     bias = cdf_bias_boundary(model, profile, m)
-    var = cdf_variance_boundary(model, profile, m, n)
+    var, vfactor, base = _cdf_variance(model, profile, m, n)
     if profile.has_zero_lambda:
         opt = "none (estimator vanishes a.s.; mse exactly 0)"
     elif profile.j_size > 0:
         opt = _NO_FINITE_OPTIMUM
     else:
-        _, vfactor, base = _cdf_variance_terms(model, profile, n)
         opt = _mse_optimum(bias.bracket_m1, 1, -1, -vfactor, n, base)
     terms, notes = _two_term_entries(bias, var.value, var.order_note, var.value + bias.value**2)
     return _report("cdf", model, profile, m, n, terms, notes, opt)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError, _as_int, _as_order
-from .simplex import SimplexPoint, _log_multinomial_pmf, _validated_points, check_grid_size, lattice_array
+from .simplex import SimplexPoint, _log_multinomial_pmfs, _validated_points, check_grid_size, lattice_array
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
@@ -67,7 +67,7 @@ def _loadtxt_points(text: str, d: int | None) -> np.ndarray | None:
     change how rows are split or counted, so they, a file with no data row,
     and every parse or validation failure are left to the row-by-row reader.
     """
-    if not text or '"' in text or text.count("\r") != text.count("\r\n"):
+    if not text or '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         return None
     lines = text.split("\n")
     first = next(csv.reader(lines[:1]))
@@ -179,9 +179,10 @@ def _weighted_sums(cells: np.ndarray, values: np.ndarray, order: int, xs: Sequen
     """At each of ``xs``, the sum of ``values`` weighted by the Multinomial(``order``, x) pmf of their ``cells``.
 
     ``xs`` are coordinate rows on the simplex and the rows of ``cells`` lie
-    on the order-``order`` lattice; neither is checked again.
+    on the order-``order`` lattice; neither is checked again.  The cells'
+    log coefficients are built once for all of ``xs``.
     """
-    return np.array([np.dot(values, np.exp(_log_multinomial_pmf(cells, order, x))) for x in xs], dtype=float)
+    return np.array([np.dot(values, np.exp(logp)) for logp in _log_multinomial_pmfs(cells, order, xs)], dtype=float)
 
 
 def bernstein_cdf_many(
@@ -189,12 +190,12 @@ def bernstein_cdf_many(
 ) -> np.ndarray:
     """:func:`bernstein_cdf` at each of ``points``, as one array.
 
-    The lattice and the empirical cdf on it are built once, in
-    ``O(n + m^d)``; after that each point costs only its ``O(m^d)``
-    multinomial weights.  Each observation is counted at its upper grid
-    index; the d-fold cumulative sum of those counts on the ``(m+1)^d``
-    grid is, at ``k``, the number of observations with ``x <= k/m`` in
-    every coordinate.
+    The lattice, the empirical cdf on it and the lattice's log multinomial
+    coefficients are built once, in ``O(n + m^d)``; after that each point
+    costs only the powers of x in its ``O(m^d)`` weights.  Each
+    observation is counted at its upper grid index; the d-fold cumulative
+    sum of those counts on the ``(m+1)^d`` grid is, at ``k``, the number
+    of observations with ``x <= k/m`` in every coordinate.
     """
     m = _as_order(m, 1)
     xs = _evaluation_rows(points, data.d)
@@ -254,8 +255,8 @@ def bernstein_density_many(
     """:func:`bernstein_density` at each of ``points``, as one array.
 
     The data are binned once, in ``O(n + m^d)``, into the cubes of side
-    1/m; after that each point costs only the Multinomial(m - 1) weights
-    of the occupied cubes.
+    1/m, and the occupied cubes' log Multinomial(m - 1) coefficients are
+    built once; after that each point costs only the powers of x in their weights.
     """
     m = _as_order(m, 1)
     xs = _evaluation_rows(points, data.d)

@@ -18,7 +18,7 @@ import numpy as np
 from .asymptotics import BoundaryProfile, _boundary_factor
 from .bessel import poisson_within_one_probability
 from .errors import ValidationError, _as_int, _as_order, _as_real, _check_mn
-from .simplex import SimplexPoint, _log_multinomial_pmf, _poisson_fold, _poisson_log_row, lattice_array
+from .simplex import SimplexPoint, _log_multinomial_pmfs, _poisson_fold, _poisson_log_row, lattice_array
 
 
 def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: int) -> float:
@@ -74,7 +74,7 @@ def min_coupling_sum(m: int, x_p: float) -> float:
     """
     m = _as_order(m, 1)
     x_p = _as_real(x_p, "x_p must lie strictly in (0, 1)", lambda v: 0 < v < 1)
-    pmf = np.exp(_log_multinomial_pmf(lattice_array(m, 1), m, (x_p,)))
+    pmf = np.exp(next(_log_multinomial_pmfs(lattice_array(m, 1), m, [(x_p,)])))
     # survival[t] = P(K >= t); reversed cumsum avoids cancellation in the tail
     survival = np.cumsum(pmf[::-1])[::-1]
     e_min = float(np.sum(survival[1:] ** 2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -238,18 +238,18 @@ def log_multinomial_pmf(karr: np.ndarray, m: int, x: SimplexPoint) -> np.ndarray
         raise ValidationError(f"index array of shape {karr.shape} needs {x.d} columns, one per coordinate")
     if np.any(karr < 0) or np.any(karr.sum(axis=1) > m):
         raise ValidationError("lattice indices must be >= 0 with sum <= m")
-    return _log_multinomial_pmf(karr, m, x.coords)
+    return next(_log_multinomial_pmfs(karr, m, [x.coords]))
 
 
-def _log_multinomial_pmf(karr: np.ndarray, m: int, coords: Sequence[float]) -> np.ndarray:
-    """:func:`log_multinomial_pmf` at a simplex point's ``coords``, for an int64 ``karr`` valid by construction; nothing is re-checked."""
-    rem_k = m - karr.sum(axis=1)
-    lf = log_factorials(m)
-    out = lf[m] - lf[karr].sum(axis=1) - lf[rem_k]
-    for ki, xi in zip((*karr.T, rem_k), _shares(coords)):
-        if xi > 0.0:
-            out = out + ki * math.log(xi)
-        else:
-            out = np.where(ki > 0, -np.inf, out)
-    return out
-
+def _log_multinomial_pmfs(karr: np.ndarray, m: int, xs: Iterable[Sequence[float]]) -> Iterator[np.ndarray]:
+    """:func:`log_multinomial_pmf` at each coordinate row of ``xs``, for an int64 ``karr`` valid by construction; nothing is re-checked."""
+    lf, rem_k = log_factorials(m), m - karr.sum(axis=1)
+    coef = lf[m] - lf[karr].sum(axis=1) - lf[rem_k]  # the log coefficients, built once: only the powers of x depend on the point
+    for coords in xs:
+        out = coef
+        for ki, xi in zip((*karr.T, rem_k), _shares(coords)):
+            if xi > 0.0:
+                out = out + ki * math.log(xi)
+            else:
+                out = np.where(ki > 0, -np.inf, out)
+        yield out

@@ -65,7 +65,7 @@ RETIRED = {
 
 #: public functions and classes that no module of the package uses: entry points for library callers only
 LIBRARY_ONLY = {
-    "density_m_opt", "density_m_opt_shoulder", "density_variance_leading", "fourth_moment_scaling",
+    "cdf_variance_boundary", "density_m_opt", "density_m_opt_shoulder", "density_variance_leading", "fourth_moment_scaling",
     "log_multinomial_pmf", "mc_bias_variance", "min_coupling_limit", "pmf_power_sum_scaled", "rate_fit",
 }
 

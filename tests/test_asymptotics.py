@@ -690,7 +690,47 @@ class TestFloatRange:
         with pytest.raises(ValidationError, match=re.escape(f"the expansion at m={m!r}, n={n!r} leaves the float range")):
             report(model, profile, m, n)
 
+    @pytest.mark.parametrize(
+        "term,args",
+        [(density_bias_boundary, (1e200,)),  # OverflowError in b2 / m**2
+         (density_bias_boundary, (1e-300,)),  # ZeroDivisionError there
+         (cdf_bias_boundary, (1e200,)),  # OverflowError in b2 / m**2
+         (density_variance_leading, (1e20, 1e-300)),  # returned inf without a word
+         (cdf_variance_boundary, (1e-300, 1e-300))],  # ZeroDivisionError in / (n * m)
+        ids=["density-bias-large-m", "density-bias-tiny-m", "cdf-bias-large-m", "density-variance-inf", "cdf-variance-tiny-mn"],
+    )
+    def test_bare_term_refused_naming_m_and_n(self, beta22, term, args):
+        named = f"m={args[0]!r}" + "".join(f", n={n!r}" for n in args[1:])
+        with pytest.raises(ValidationError, match=re.escape(f"the expansion at {named} leaves the float range")):
+            term(beta22, BoundaryProfile.interior_point(0.3), *args)
+
+    def test_guarded_terms_take_m_and_n_by_name(self, beta22):
+        profile = BoundaryProfile.interior_point(0.3)
+        assert density_bias_boundary(beta22, profile, m=40) == density_bias_boundary(beta22, profile, 40)
+        assert cdf_bias_boundary(beta22, profile, m=40) == cdf_bias_boundary(beta22, profile, 40)
+        assert density_variance_leading(beta22, profile, m=40, n=1e4) == density_variance_leading(beta22, profile, 40, 1e4)
+        assert cdf_variance_boundary(beta22, profile, m=40, n=1e4) == cdf_variance_boundary(beta22, profile, 40, 1e4)
+        assert density_mse(beta22, profile, m=40, n=1e4) == density_mse(beta22, profile, 40, 1e4)
+
     def test_infinite_term_is_refused(self, beta22):
         # m^(1/2)/n overflows to inf without raising, so no JSON carries Infinity
         with pytest.raises(ValidationError, match=re.escape("the expansion at m=1e+20, n=1e-300 leaves the float range")):
             density_mse(beta22, BoundaryProfile.interior_point(0.3), 1e20, 1e-300)
+
+
+def test_cdf_mse_evaluates_the_slice_point_once_for_the_variance(beta22):
+    # the variance and the optimum each evaluated F and its gradient: cdf_grad 3 calls and cdf 2
+    calls = {"cdf": 0, "cdf_grad": 0}
+
+    def counted(name):
+        def call(x):
+            calls[name] += 1
+            return getattr(beta22, name)(x)
+        return call
+
+    model = dataclasses.replace(beta22, cdf=counted("cdf"), cdf_grad=counted("cdf_grad"))
+    report = cdf_mse(model, BoundaryProfile.interior_point(0.3), 50, 1e4)
+    assert calls == {"cdf": 1, "cdf_grad": 2}  # one gradient for the bias, one gradient and one value for the variance
+    expected = cdf_mse(beta22, BoundaryProfile.interior_point(0.3), 50, 1e4)
+    assert (report.terms, report.m_opt, report.mse_at_m_opt) == (expected.terms, expected.m_opt, expected.mse_at_m_opt)
+    assert report.terms["var_leading"] == cdf_variance_boundary(beta22, BoundaryProfile.interior_point(0.3), 50, 1e4).value

@@ -196,6 +196,14 @@ class TestCsvParity:
         path.write_text("0.1,0.2\n0.3,0.4\n", encoding="utf-8-sig")
         assert Dataset.from_csv(str(path)).points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
+    @pytest.mark.parametrize(
+        "text,parsed",
+        [("x1,x2\n0.1,0.2\n", True), ("x1,x2\r\n0.1,0.2\r\n", True), ("x1,x2\r\n0.1,0.2\r0.3,0.4\r\n", False)],
+        ids=["no-cr", "crlf", "lone-cr-among-crlf"],
+    )
+    def test_one_pass_takes_files_without_a_lone_carriage_return(self, text, parsed):
+        assert (_loadtxt_points(text, None) is not None) == parsed
+
     def test_lone_carriage_returns_split_rows_in_a_file(self, tmp_path):
         path = tmp_path / "cr.csv"
         path.write_bytes(b"x1\r0.1\r\r0.2\r")
@@ -502,6 +510,17 @@ class TestCdfMany:
         data = Dataset.from_points(self.lattice_valued_data())
         values = self.many(data, 14, self.POINTS)
         assert values.tolist() == [self.one(data, 14, x) for x in self.POINTS]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_many_points_equal_one_point_calls_bit_for_bit(self, d):
+        rng = np.random.default_rng(30 + d)
+        data = Dataset.from_points(rng.dirichlet(np.ones(d + 1), size=80)[:, :d])
+        face = np.r_[0.0, rng.dirichlet(np.ones(d))[: d - 1]]  # a zero share, and for d = 1 the vertex 0
+        sums_to_one = np.r_[0.5 ** np.arange(1, d), 0.5 ** (d - 1)]
+        points = [*rng.dirichlet(np.ones(d + 1), size=3)[:, :d], face, *np.eye(d), np.zeros(d), sums_to_one]
+        for m in (1, 11):
+            values = self.many(data, m, points)
+            assert values.tobytes() == np.array([self.one(data, m, x) for x in points]).tobytes()
 
     def test_points_as_rows_of_an_array(self):
         data = Dataset.from_points(self.lattice_valued_data())

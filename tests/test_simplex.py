@@ -245,6 +245,40 @@ class TestMultinomialPmf:
         assert np.isfinite(value) and value == pytest.approx(multinomial_pmf_exact((250,), 500, (0.5,)), rel=1e-12)
 
 
+class TestSharedCoefficients:
+    """The log coefficients built once for many points change no bit of any point's weights."""
+
+    @staticmethod
+    def rebuilt_at(karr, m, coords):
+        # one point at a time, coefficient included, as the weights were built before they were shared
+        rem_k = m - karr.sum(axis=1)
+        lf = log_factorials(m)
+        out = lf[m] - lf[karr].sum(axis=1) - lf[rem_k]
+        for ki, xi in zip((*karr.T, rem_k), simplex._shares(coords)):
+            out = out + ki * math.log(xi) if xi > 0.0 else np.where(ki > 0, -np.inf, out)
+        return out
+
+    #: interior points, points on faces (a zero share), the vertices, and a point whose coordinates sum to exactly 1
+    POINTS = {
+        1: [(0.3,), (0.71,), (0.5,), (0.0,), (1.0,)],
+        2: [(0.3, 0.25), (0.05, 0.9), (0.0, 0.4), (0.6, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.25, 0.75)],
+        3: [(0.2, 0.3, 0.1), (0.0, 0.3, 0.3), (0.1, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.25, 0.25)],
+    }
+
+    @pytest.mark.parametrize("m,d", [(1, 1), (40, 1), (1, 2), (17, 2), (50, 2), (1, 3), (12, 3)])
+    def test_each_point_is_bit_identical(self, m, d):
+        karr = lattice_array(m, d)
+        cells = karr[np.random.default_rng(m + d).random(len(karr)) < 0.6]  # a subset of rows, as occupied cubes are
+        points = [SimplexPoint.of(x) for x in self.POINTS[d]]
+        assert sum(points[-1].coords) == 1.0 and points[-1].remainder == 0.0
+        for rows in (karr, cells):
+            shared = list(simplex._log_multinomial_pmfs(rows, m, [x.coords for x in points]))
+            assert len(shared) == len(points)
+            for got, x in zip(shared, points):
+                assert got.tobytes() == log_multinomial_pmf(rows, m, x).tobytes()
+                assert got.tobytes() == self.rebuilt_at(rows, m, x.coords).tobytes()
+
+
 class TestPmfTable:
     def test_symmetric_binomial(self):
         np.testing.assert_allclose(pmf_over(lattice_array(2, 1), 2, 0.5), [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
