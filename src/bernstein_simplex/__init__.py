@@ -17,10 +17,8 @@ from .asymptotics import (
     cdf_variance_boundary,
     density_bias_boundary,
     density_m_opt,
-    density_m_opt_shoulder,
     density_mse,
     density_mse_shoulder,
-    density_variance_leading,
     psi,
     shoulder_bracket,
 )
@@ -45,11 +43,8 @@ from .estimators import (
 from .lattice_sums import (
     SumDiagnostic,
     min_coupling_diagnostics,
-    min_coupling_limit,
     min_coupling_sum,
-    pmf_power_sum_scaled,
     pmf_square_diagnostics,
-    pmf_square_sum_limit,
     sum_pmf_power,
 )
 from .models import DensityModel, dirichlet_model, uniform_model

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .bessel import min_coupling_factor, poisson_equal_probability
-from .errors import ValidationError, _as_int, _as_real, _check_mn
+from .errors import ValidationError, _as_int, _as_real, _check_mn, _list_items
 from .models import DensityModel
 from .moments import _trial_moment
 from .simplex import SimplexPoint
@@ -138,7 +138,7 @@ def psi(x: "SimplexPoint | float | Sequence[float]", subset: Iterable[int]) -> f
     indices); the empty subset gives exactly 1.
     """
     pt = SimplexPoint.of(x)
-    subset = sorted(set(_as_int(i, "each psi subset index", least=1, most=pt.d) for i in subset))
+    subset = sorted(set(_as_int(i, "each psi subset index", least=1, most=pt.d) for i in _list_items(subset, "psi subset")))
     if not subset:
         return 1.0
     values = [pt.coords[i - 1] for i in subset]
@@ -157,13 +157,13 @@ class _FloatRangeError(ValidationError):
 
 
 def _in_float_range(fn: Callable) -> Callable:
-    """``fn(model, profile, m[, n])`` refusing, naming m and n, a result (a report's terms and optimum, else its ``value``) that overflows, divides by zero or is not finite."""
+    """``fn(model, profile, m[, n])`` refusing, naming m and n, a result (a report's terms and optimum, else the term's ``value``) that overflows, divides by zero or is not finite."""
     @functools.wraps(fn)
     def checked(model: DensityModel, profile: BoundaryProfile, m: float, n: float | None = None):
         try:
             result = fn(model, profile, m) if n is None else fn(model, profile, m, n)
             numbers = ([*result.terms.values(), result.m_opt or 0.0, result.mse_at_m_opt or 0.0]
-                       if isinstance(result, ExpansionReport) else [getattr(result, "value", result)])
+                       if isinstance(result, ExpansionReport) else [result.value])
             finite = all(map(math.isfinite, numbers))
         except (OverflowError, ZeroDivisionError, _FloatRangeError):
             finite = False
@@ -256,7 +256,7 @@ def _boundary_factor(profile: BoundaryProfile, lead: float = 1.0) -> float:
     prod = 1.0
     for lam in profile.boundary.values():
         prod *= poisson_equal_probability(lam)
-    return lead * psi(profile.slice_point(), profile.interior) * prod
+    return lead * psi(profile.slice_point(), profile.interior.keys()) * prod
 
 
 def _density_variance(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -> tuple[float, float, int]:
@@ -266,14 +266,6 @@ def _density_variance(model: DensityModel, profile: BoundaryProfile, m: float, n
     vfactor = _boundary_factor(profile, float(model.density(profile.slice_point())))
     a = profile.d + profile.j_size
     return m ** (0.5 * a) / n * vfactor, vfactor, a
-
-
-@_in_float_range
-def density_variance_leading(
-    model: DensityModel, profile: BoundaryProfile, m: float, n: float
-) -> float:
-    """Leading variance term ``n^-1 m^((d+|J|)/2)`` times the profile factor."""
-    return _density_variance(model, profile, m, n)[0]
 
 
 _DENSITY_VAR_NOTE = "n^-1 m^((d+|J|)/2) (O(m^-1) + o(1) [J not full])"
@@ -356,19 +348,6 @@ def shoulder_bracket(model: DensityModel, profile: BoundaryProfile) -> float:
             f"d2f/dx_{i + 1}dx_{j + 1} at the boundary slice is {hess[i, j]!r}"
         )
     return _bias_brackets(derivative, xs, profile.lambda_vector(), cube=True)[1]
-
-
-def density_m_opt_shoulder(
-    model: DensityModel, profile: BoundaryProfile, n: float
-) -> tuple[float, float] | None:
-    """Optimal bandwidth for the reduced-bias mse; defined only for full J."""
-    if not profile.is_full_boundary:
-        raise ValidationError(
-            "the reduced-bias optimum is only defined when every coordinate scales "
-            "with the bandwidth (J = {1..d})"
-        )
-    report = density_mse_shoulder(model, profile, 1.0, n)
-    return None if report.m_opt is None else (report.m_opt, report.mse_at_m_opt)
 
 
 @_in_float_range

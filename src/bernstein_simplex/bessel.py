@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, _as_real
+from .errors import ValidationError, _as_int, _as_real
 
 #: Both expansions stop at the first term below this share of their partial sum.
 DEFAULT_TOL = 1e-14
@@ -34,10 +34,11 @@ class BesselValue:
     remainder_bound: float
 
 
-def _check_arguments(nu: int, z: float) -> None:
-    if nu not in (0, 1):
-        raise ValidationError(f"order must be 0 or 1, got {nu}")
+def _check_arguments(nu: int, z: float) -> int:
+    """The order ``nu`` as an int in 0..1, by :func:`_as_int`, once ``z`` is also found to be >= 0."""
+    nu = _as_int(nu, "Bessel order nu", least=0, most=1)
     _as_real(z, "argument must be >= 0", lambda v: v >= 0)  # written so that NaN fails it too
+    return nu
 
 
 def _series(nu: int, z: float) -> BesselValue:
@@ -102,7 +103,7 @@ def bessel_i(nu: int, z: float) -> BesselValue:
     ``e^z`` times :func:`bessel_i_scaled`; where that overflows a float,
     :class:`ValidationError` is raised.
     """
-    _check_arguments(nu, z)
+    nu = _check_arguments(nu, z)
     if z < ASYMPTOTIC_FROM:
         return _series(nu, z)
     scaled = _asymptotic_scaled(nu, z)
@@ -125,7 +126,7 @@ def bessel_i_scaled(nu: int, z: float) -> BesselValue:
     :func:`bessel_i`; from there on it is the large-argument expansion.
     The remainder bound is on the same scale as the value.
     """
-    _check_arguments(nu, z)
+    nu = _check_arguments(nu, z)
     if z >= ASYMPTOTIC_FROM:
         return _asymptotic_scaled(nu, z)
     series = _series(nu, z)

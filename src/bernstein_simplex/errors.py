@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and its one rule each for integers in a range, orders, sample sizes, seeds, real numbers and a real m and n."""
+"""Exception types shared across the package, and its one rule each for integers in a range, lists of integers, orders, sample sizes, seeds, real numbers and a real m and n."""
 
 import contextlib
 import numbers
 import sys
+from typing import Iterable, Mapping
 
 
 class ValidationError(ValueError):
@@ -39,6 +40,17 @@ def _as_int(value: object, what: str, least: int | None = None, most: int | None
         bounds = f">= {least}" if most is None else f"in {least}..{most}"
         raise ValidationError(f"{what} must be {bounds}, got {result}")
     return result
+
+
+def _list_items(values: object, what: str) -> tuple:
+    """The items of ``values``, a list of integers that the caller converts one by one, or a :class:`ValidationError` naming ``what``.
+
+    A string, a mapping and anything not iterable are refused whole rather
+    than read item by item: ``"12"`` is not the list ``[1, 2]``.
+    """
+    if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
+        raise ValidationError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(values)
 
 
 def _as_order(m: object, least: int) -> int:

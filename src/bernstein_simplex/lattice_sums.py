@@ -17,7 +17,7 @@ import numpy as np
 
 from .asymptotics import BoundaryProfile, _boundary_factor
 from .bessel import poisson_within_one_probability
-from .errors import ValidationError, _as_int, _as_order, _as_real, _check_mn
+from .errors import ValidationError, _as_int, _as_order, _as_real
 from .simplex import SimplexPoint, _log_multinomial_pmfs, _poisson_fold, _poisson_log_row, lattice_array
 
 
@@ -41,25 +41,6 @@ def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: in
     return folded / np.exp(power * _poisson_log_row(big_m, float(big_m)))[-1]
 
 
-def pmf_square_sum_limit(profile: BoundaryProfile) -> float:
-    """Limit of ``m^((d-|J|)/2)`` times the squared-weight sum at the profile."""
-    return _boundary_factor(profile)
-
-
-def _power_sum_scale(m: int, profile: BoundaryProfile, power: int) -> float:
-    """``m^((d-|J|)/2)`` for the square sum, ``m^(d-|J|)`` for the cube sum."""
-    return m ** ((profile.d - profile.j_size) * (0.5 if power == 2 else 1.0))
-
-
-def pmf_power_sum_scaled(m: int, profile: BoundaryProfile, power: int) -> float:
-    """Exact power sum at the realized point, scaled by its limiting m-power.
-
-    The square sum is scaled by ``m^((d-|J|)/2)``; the cube sum by
-    ``m^(d-|J|)``, under which it stays bounded.
-    """
-    return _power_sum_scale(m, profile, power) * sum_pmf_power(m, profile.realized_point(m), power)
-
-
 # ---------------------------------------------------------------------------
 # min-coupling sums (univariate reduction)
 # ---------------------------------------------------------------------------
@@ -79,32 +60,6 @@ def min_coupling_sum(m: int, x_p: float) -> float:
     survival = np.cumsum(pmf[::-1])[::-1]
     e_min = float(np.sum(survival[1:] ** 2))
     return e_min / m - x_p
-
-
-def _min_coupling_constant(profile: BoundaryProfile, p: int) -> float:
-    """Limit of the min-coupling sum of coordinate ``p`` (an int in 1..d) times its m-scale (see :func:`min_coupling_limit`)."""
-    if p in profile.j_set:
-        lam = profile.boundary[p]
-        return -lam * poisson_within_one_probability(lam)
-    x_p = profile.interior[p]
-    return -math.sqrt(x_p * (1.0 - x_p) / math.pi)
-
-
-def _min_coupling_scale(m: float, profile: BoundaryProfile, p: int) -> float:
-    """``m`` for a scaling coordinate ``p``, ``sqrt(m)`` for a fixed one."""
-    return m if p in profile.j_set else math.sqrt(m)
-
-
-def min_coupling_limit(m: float, profile: BoundaryProfile, p: int) -> float:
-    """Predicted value of the min-coupling sum at bandwidth ``m`` for coordinate ``p``.
-
-    Scaling coordinates give ``-m^-1 lam (P{X=Y} + P{X-Y=1})`` with the
-    Poisson factors at ``lam``; fixed coordinates give the normal-range
-    term ``-m^-1/2 sqrt(x(1-x)/pi)``.
-    """
-    _check_mn(m)
-    p = _as_int(p, "coordinate index p", least=1, most=profile.d)
-    return _min_coupling_constant(profile, p) / _min_coupling_scale(m, profile, p)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +88,12 @@ def _diagnostic(quantity: str, m: int, exact: float, scaled: float, pred: float)
 def pmf_square_diagnostics(
     profile: BoundaryProfile, m_grid: Sequence[int]
 ) -> list[SumDiagnostic]:
-    """Scaled squared-weight sums against their predicted limit, per bandwidth."""
-    pred = pmf_square_sum_limit(profile)
+    """Squared-weight sums scaled by ``m^((d-|J|)/2)`` against their limit, per bandwidth."""
+    pred = _boundary_factor(profile)
     rows = []
     for m in m_grid:
         exact = sum_pmf_power(m, profile.realized_point(m), 2)
-        scaled = _power_sum_scale(m, profile, 2) * exact
+        scaled = m ** ((profile.d - profile.j_size) * 0.5) * exact
         rows.append(_diagnostic("pmf_square_sum", int(m), exact, scaled, pred))
     return rows
 
@@ -146,13 +101,23 @@ def pmf_square_diagnostics(
 def min_coupling_diagnostics(
     profile: BoundaryProfile, p: int, m_grid: Sequence[int]
 ) -> list[SumDiagnostic]:
-    """Scaled min-coupling sums for coordinate ``p`` against their limits."""
+    """Min-coupling sums of coordinate ``p``, scaled by ``m`` on J and ``sqrt(m)`` off it, against their limits.
+
+    The scaled sum of a scaling coordinate tends to ``-lam (P{X=Y} + P{X-Y=1})``
+    with the Poisson factors at ``lam``; that of a fixed coordinate to the
+    normal-range constant ``-sqrt(x(1-x)/pi)``.
+    """
     p = _as_int(p, "coordinate index p", least=1, most=profile.d)
-    pred = _min_coupling_constant(profile, p)
+    if p in profile.j_set:
+        lam = profile.boundary[p]
+        pred = -lam * poisson_within_one_probability(lam)
+    else:
+        x_p = profile.interior[p]
+        pred = -math.sqrt(x_p * (1.0 - x_p) / math.pi)
     rows = []
     for m in m_grid:
         exact = min_coupling_sum(m, profile.realized_point(m)[p - 1])
-        scaled = _min_coupling_scale(m, profile, p) * exact
+        scaled = (m if p in profile.j_set else math.sqrt(m)) * exact
         rows.append(_diagnostic(f"min_coupling_x{p}", int(m), exact, scaled, pred))
     return rows
 

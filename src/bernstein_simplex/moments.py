@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_int, _as_order
+from .errors import ValidationError, _as_int, _as_order, _list_items
 from .simplex import SimplexPoint, _poisson_fold, _shares
 
 
@@ -30,7 +30,7 @@ class MomentQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", SimplexPoint.of(self.x))
         object.__setattr__(self, "m", _as_order(self.m, 0))
-        indices = tuple(_as_int(i, "a moment index", least=1, most=self.x.d) for i in self.indices)
+        indices = tuple(_as_int(i, "a moment index", least=1, most=self.x.d) for i in _list_items(self.indices, "moment indices"))
         if not 2 <= len(indices) <= 4:
             raise ValidationError(f"moment order must be 2..4, got {len(indices)}")
         object.__setattr__(self, "indices", indices)
@@ -94,9 +94,9 @@ def fourth_moment_scaling(
     The sequence stays bounded as the bandwidth grows; callers assert the
     trend they need.
     """
-    indices = tuple(indices)
+    indices = _list_items(indices, "moment indices")
     if len(indices) != 4:
         raise ValidationError(f"need exactly 4 indices, got {len(indices)}")
     point = SimplexPoint.of(x)
-    orders = [_as_order(m, 1) for m in m_grid]  # m = 0 would divide by zero below
+    orders = [_as_order(m, 1) for m in _list_items(m_grid, "m_grid")]  # m = 0 would divide by zero below
     return [abs(central_moment_bruteforce(MomentQuery(m=m, x=point, indices=indices))) / float(m) ** 2 for m in orders]

@@ -14,12 +14,12 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .asymptotics import BoundaryProfile, cdf_mse, density_mse
-from .errors import ValidationError, _as_int, _as_order, _as_sample_size, _as_seed
+from .errors import ValidationError, _as_int, _as_order, _as_sample_size, _as_seed, _list_items
 from .estimators import Dataset, bernstein_cdf, bernstein_density
 from .models import DensityModel, dirichlet_model, uniform_model
 from .simplex import SimplexPoint
@@ -202,10 +202,8 @@ class Experiment:
 
     def __post_init__(self) -> None:
         for key in ("m_grid", "n_grid"):
-            value = getattr(self, key)
-            if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
-                raise ValidationError(f"experiment field {key!r} must be a list of integers, got {value!r}")
-            object.__setattr__(self, key, tuple(_as_int(v, f"each value of experiment field {key!r}") for v in value))
+            items = _list_items(getattr(self, key), f"experiment field {key!r}")
+            object.__setattr__(self, key, tuple(_as_int(v, f"each value of experiment field {key!r}") for v in items))
         if not self.m_grid or not self.n_grid:
             raise ValidationError("m_grid and n_grid must be non-empty")
         # the smallest cell fails the design check if any cell does

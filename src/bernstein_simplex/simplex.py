@@ -112,7 +112,9 @@ class SimplexPoint:
 # ---------------------------------------------------------------------------
 
 def lattice_size(m: int, d: int) -> int:
-    """Number of nonnegative integer vectors of length ``d`` with sum <= m."""
+    """Number of nonnegative integer vectors of length ``d >= 1`` with sum <= ``m >= 0``."""
+    m = _as_order(m, 0)
+    d = _as_int(d, "dimension d", least=1)
     return math.comb(m + d, d)
 
 
@@ -124,9 +126,8 @@ def check_cap(count: int, what: str) -> None:
 
 def check_lattice_size(m: int, d: int) -> tuple[int, int]:
     """``(m, d)`` as ints, or an error if either is invalid or the lattice exceeds the cap."""
-    m = _as_order(m, 0)
-    d = _as_int(d, "dimension d", least=1)
     size = lattice_size(m, d)
+    m, d = int(m), int(d)
     check_cap(size, f"lattice for (m={m}, d={d}) has {size} points")
     return m, d
 

@@ -21,8 +21,7 @@ SUBMODULES = {
 PUBLIC = {
     # asymptotics
     "BiasExpansion", "BoundaryProfile", "ExpansionReport", "VarianceExpansion", "cdf_bias_boundary", "cdf_mse",
-    "cdf_variance_boundary", "density_bias_boundary", "density_m_opt",
-    "density_m_opt_shoulder", "density_mse", "density_mse_shoulder", "density_variance_leading", "psi",
+    "cdf_variance_boundary", "density_bias_boundary", "density_m_opt", "density_mse", "density_mse_shoulder", "psi",
     "shoulder_bracket",
     # bessel
     "BesselValue", "bessel_i", "bessel_i0", "bessel_i1", "bessel_i_scaled", "min_coupling_factor",
@@ -32,8 +31,7 @@ PUBLIC = {
     # estimators
     "Dataset", "bernstein_cdf", "bernstein_cdf_many", "bernstein_density", "bernstein_density_many",
     # lattice_sums
-    "SumDiagnostic", "min_coupling_diagnostics", "min_coupling_limit", "min_coupling_sum",
-    "pmf_power_sum_scaled", "pmf_square_diagnostics", "pmf_square_sum_limit", "sum_pmf_power",
+    "SumDiagnostic", "min_coupling_diagnostics", "min_coupling_sum", "pmf_square_diagnostics", "sum_pmf_power",
     # models
     "DensityModel", "dirichlet_model", "uniform_model",
     # moments
@@ -61,12 +59,16 @@ RETIRED = {
     "density_from_counts": "estimators",
     "histogram_counts": "estimators",
     "density_bias_terms": "asymptotics",
+    "density_variance_leading": "asymptotics",
+    "density_m_opt_shoulder": "asymptotics",
+    "pmf_square_sum_limit": "lattice_sums",
+    "pmf_power_sum_scaled": "lattice_sums",
+    "min_coupling_limit": "lattice_sums",
 }
 
 #: public functions and classes that no module of the package uses: entry points for library callers only
 LIBRARY_ONLY = {
-    "cdf_variance_boundary", "density_m_opt", "density_m_opt_shoulder", "density_variance_leading", "fourth_moment_scaling",
-    "log_multinomial_pmf", "mc_bias_variance", "min_coupling_limit", "pmf_power_sum_scaled", "rate_fit",
+    "cdf_variance_boundary", "density_m_opt", "fourth_moment_scaling", "log_multinomial_pmf", "mc_bias_variance", "rate_fit",
 }
 
 
@@ -115,7 +117,8 @@ ONE_RULE = {
     "sample size must be >= ": "errors",
     "must be a non-negative integer": "errors",
     "Dirichlet parameters": "models",
-    "must be {bounds}, got ": "errors",  # integers in a range: dimension, 1-based index, worker threads
+    "must be {bounds}, got ": "errors",  # integers in a range: dimension, 1-based index, worker threads, Bessel order
+    "must be a list of integers": "errors",  # grids, moment indices, psi subsets
     "must be 'density' or 'cdf'": "montecarlo",
     "must be a finite positive number": "errors",
     "{requirement}, got {value!r}": "errors",  # real numbers: m and n, lambda, Bessel arguments, Dirichlet parameters, points

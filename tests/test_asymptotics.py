@@ -16,10 +16,8 @@ from bernstein_simplex import (
     cdf_variance_boundary,
     density_bias_boundary,
     density_m_opt,
-    density_m_opt_shoulder,
     density_mse,
     density_mse_shoulder,
-    density_variance_leading,
     dirichlet_model,
     lattice_array,
     log_multinomial_pmf,
@@ -202,21 +200,26 @@ class TestDensityBias:
         assert "m^-1" in part.order_note
 
 
+def density_variance(model: DensityModel, profile: BoundaryProfile, m: float, n: float) -> float:
+    """The leading variance term, as the density report carries it."""
+    return density_mse(model, profile, m, n).terms["var_leading"]
+
+
 class TestDensityVariance:
     def test_interior_hand_value(self, uni1):
         prof = BoundaryProfile.interior_point(0.5)
-        value = density_variance_leading(uni1, prof, 100, 10_000)
+        value = density_variance(uni1, prof, 100, 10_000)
         assert value == pytest.approx(1e-4 * 10 / SQRT_PI, rel=1e-12)
 
     def test_boundary_bessel_factor(self, beta12):
         prof = BoundaryProfile(d=1, boundary={1: 1.0})
-        value = density_variance_leading(beta12, prof, 50, 1000)
+        value = density_variance(beta12, prof, 50, 1000)
         expected = 50 / 1000 * 2.0 * poisson_equal_probability(1.0)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_zero_lambda_factor_is_exactly_one(self, beta12):
         prof = BoundaryProfile(d=1, boundary={1: 0.0})
-        value = density_variance_leading(beta12, prof, 50, 1000)
+        value = density_variance(beta12, prof, 50, 1000)
         assert value == pytest.approx(50 / 1000 * 2.0, rel=1e-14)
 
     def test_mixed_profile_hand_value(self):
@@ -229,20 +232,20 @@ class TestDensityVariance:
             * 20 ** 1.5
             / 500.0
         )
-        assert density_variance_leading(model, prof, 20, 500) == pytest.approx(expected, rel=1e-12)
+        assert density_variance(model, prof, 20, 500) == pytest.approx(expected, rel=1e-12)
 
     def test_scaling_in_n_and_m(self, beta12):
         prof = BoundaryProfile(d=1, boundary={1: 1.5})
-        v = density_variance_leading(beta12, prof, 64, 1000)
-        assert density_variance_leading(beta12, prof, 64, 2000) * 2 == pytest.approx(v, rel=1e-14)
-        ratio = density_variance_leading(beta12, prof, 128, 1000) / v
+        v = density_variance(beta12, prof, 64, 1000)
+        assert density_variance(beta12, prof, 64, 2000) * 2 == pytest.approx(v, rel=1e-14)
+        ratio = density_variance(beta12, prof, 128, 1000) / v
         assert ratio == pytest.approx(2.0, rel=1e-12)  # m^((1+1)/2)
 
     def test_boundary_continuity_in_lambda(self, beta12):
-        tiny = density_variance_leading(
+        tiny = density_variance(
             beta12, BoundaryProfile(d=1, boundary={1: 1e-8}), 50, 1000
         )
-        zero = density_variance_leading(beta12, BoundaryProfile(d=1, boundary={1: 0.0}), 50, 1000)
+        zero = density_variance(beta12, BoundaryProfile(d=1, boundary={1: 0.0}), 50, 1000)
         assert abs(tiny / zero - 1.0) <= 1e-6
 
 
@@ -300,7 +303,8 @@ class TestBandwidthChoice:
         # the reduced-bias optimum, on full-J profiles where the gradient vanishes at the origin
         for model, profile in shoulder_cases():
             n = 1e5
-            m_opt, mse_at = density_m_opt_shoulder(model, profile, n)
+            report = density_mse_shoulder(model, profile, 1.0, n)
+            m_opt, mse_at = report.m_opt, report.mse_at_m_opt
             mse = lambda m: density_mse_shoulder(model, profile, m, n).terms["mse"]
             assert mse(0.99 * m_opt) > mse(m_opt)
             assert mse(1.01 * m_opt) > mse(m_opt)
@@ -382,22 +386,23 @@ class TestShoulder:
 
     def test_uniform_gives_no_optimum(self, uni1):
         prof = BoundaryProfile(d=1, boundary={1: 0.0})
-        assert density_m_opt_shoulder(uni1, prof, 1e4) is None
+        assert density_mse_shoulder(uni1, prof, 1.0, 1e4).m_opt is None
         report = density_mse_shoulder(uni1, prof, 20, 1e4)
         assert report.m_opt is None
         assert "none" in report.m_opt_note
 
     def test_optimum_needs_full_boundary(self):
         prof = BoundaryProfile(d=2, boundary={1: 0.0}, interior={2: 0.3})
-        with pytest.raises(ValidationError, match="every coordinate"):
-            density_m_opt_shoulder(dirichlet_model((3, 1, 3)), prof, 1e4)
+        report = density_mse_shoulder(dirichlet_model((3, 1, 3)), prof, 1.0, 1e4)
+        assert (report.m_opt, report.mse_at_m_opt) == (None, None)
+        assert report.m_opt_note == "none (optimum defined only for full J)"
 
     def test_rate_exponent(self):
         model = make_flat_shoulder_model()
         prof = BoundaryProfile(d=1, boundary={1: 0.5})
-        opt4 = density_m_opt_shoulder(model, prof, 1e4)
-        opt6 = density_m_opt_shoulder(model, prof, 1e6)
-        assert opt6[1] / opt4[1] == pytest.approx(100.0 ** (-4.0 / 5.0), rel=1e-12)
+        opt4 = density_mse_shoulder(model, prof, 1.0, 1e4)
+        opt6 = density_mse_shoulder(model, prof, 1.0, 1e6)
+        assert opt6.mse_at_m_opt / opt4.mse_at_m_opt == pytest.approx(100.0 ** (-4.0 / 5.0), rel=1e-12)
 
     def test_bracket_is_the_second_density_bracket_on_full_j(self):
         for model, profile in shoulder_cases():
@@ -431,7 +436,7 @@ class TestShoulder:
         b2 = shoulder_bracket(model, prof)
         assert b2 == pytest.approx((1.0 / 6.0 + 0.5) * 1.5, rel=1e-12)
         report = density_mse_shoulder(model, prof, 10, 1e4)
-        var = density_variance_leading(model, prof, 10, 1e4)
+        var = density_variance(model, prof, 10, 1e4)
         assert report.terms["mse"] == pytest.approx(var + b2**2 / 10**4, rel=1e-12)
 
 
@@ -637,7 +642,7 @@ class TestExpansionReport:
     def test_mse_consistency(self, beta22):
         prof = BoundaryProfile.interior_point(0.3)
         report = density_mse(beta22, prof, 40, 1e6)
-        var = density_variance_leading(beta22, prof, 40, 1e6)
+        var = density_variance(beta22, prof, 40, 1e6)
         b1 = density_bias_boundary(beta22, prof, 40).bracket_m1
         assert report.terms["mse"] == pytest.approx(var + (b1 / 40) ** 2, rel=1e-14)
 
@@ -695,9 +700,8 @@ class TestFloatRange:
         [(density_bias_boundary, (1e200,)),  # OverflowError in b2 / m**2
          (density_bias_boundary, (1e-300,)),  # ZeroDivisionError there
          (cdf_bias_boundary, (1e200,)),  # OverflowError in b2 / m**2
-         (density_variance_leading, (1e20, 1e-300)),  # returned inf without a word
          (cdf_variance_boundary, (1e-300, 1e-300))],  # ZeroDivisionError in / (n * m)
-        ids=["density-bias-large-m", "density-bias-tiny-m", "cdf-bias-large-m", "density-variance-inf", "cdf-variance-tiny-mn"],
+        ids=["density-bias-large-m", "density-bias-tiny-m", "cdf-bias-large-m", "cdf-variance-tiny-mn"],
     )
     def test_bare_term_refused_naming_m_and_n(self, beta22, term, args):
         named = f"m={args[0]!r}" + "".join(f", n={n!r}" for n in args[1:])
@@ -708,7 +712,6 @@ class TestFloatRange:
         profile = BoundaryProfile.interior_point(0.3)
         assert density_bias_boundary(beta22, profile, m=40) == density_bias_boundary(beta22, profile, 40)
         assert cdf_bias_boundary(beta22, profile, m=40) == cdf_bias_boundary(beta22, profile, 40)
-        assert density_variance_leading(beta22, profile, m=40, n=1e4) == density_variance_leading(beta22, profile, 40, 1e4)
         assert cdf_variance_boundary(beta22, profile, m=40, n=1e4) == cdf_variance_boundary(beta22, profile, 40, 1e4)
         assert density_mse(beta22, profile, m=40, n=1e4) == density_mse(beta22, profile, 40, 1e4)
 

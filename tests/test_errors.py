@@ -5,13 +5,18 @@ import pytest
 
 from bernstein_simplex import (
     BoundaryProfile,
+    Experiment,
+    MomentQuery,
     SimplexPoint,
     ValidationError,
     bessel_i,
+    bessel_i_scaled,
     dirichlet_model,
+    fourth_moment_scaling,
     min_coupling_factor,
     min_coupling_sum,
     poisson_equal_probability,
+    psi,
     sum_pmf_power,
 )
 from bernstein_simplex.errors import _as_int, _as_real
@@ -76,15 +81,47 @@ def test_a_real_number_outside_the_rule_is_refused(value):
      lambda: BoundaryProfile(d=1, boundary={1: "1.0"}), lambda: BoundaryProfile(d=1, interior={1: "0.5"}),
      lambda: SimplexPoint.of("0.5"), lambda: SimplexPoint.of(True), lambda: SimplexPoint.of([0.2, True]),
      lambda: SimplexPoint.of(np.array([True, False])), lambda: SimplexPoint.of(np.array(["0.5"])),
-     lambda: SimplexPoint.of([0.2, None]), lambda: SimplexPoint((0.2, "0.3")), lambda: sum_pmf_power(10, True, 2)],
+     lambda: SimplexPoint.of([0.2, None]), lambda: SimplexPoint((0.2, "0.3")), lambda: sum_pmf_power(10, True, 2),
+     lambda: bessel_i(True, 2.0)],
     ids=["alpha-bool", "alpha-strings", "bessel-string", "bessel-bool", "poisson-bool", "coupling-factor-string",
          "coupling-sum-string", "lambda-bool", "lambda-string", "interior-string", "point-string", "point-bool",
          "point-bool-in-list", "point-bool-array", "point-string-array", "point-object-array", "point-constructor",
-         "power-sum-bool-point"],
+         "power-sum-bool-point", "bessel-order-bool"],
 )
 def test_bools_and_strings_are_not_read_as_real_numbers(call):
     # each of these ran as a number (a bool as 0 or 1, a numeric string as its value) or ended in a raw TypeError
     with pytest.raises(ValidationError, match=" must (be|lie) .*, got "):
+        call()
+
+
+@pytest.mark.parametrize("bessel", [bessel_i, bessel_i_scaled])
+@pytest.mark.parametrize("nu", [0, 1])
+def test_an_integral_float_order_is_the_integer_order(bessel, nu):
+    # 1.0 and 0.0 ended in "TypeError: 'float' object cannot be interpreted as an integer"
+    assert bessel(float(nu), 2.0) == bessel(nu, 2.0)
+    assert type(bessel(float(nu), 2.0).order) is int
+
+
+def _experiment(m_grid):
+    return Experiment(model_name="uniform", model_params={"d": 1}, profile=BoundaryProfile(d=1, boundary={1: 1.0}),
+                      kind="density", m_grid=m_grid, n_grid=(100,), replicates=2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: _experiment("12"), "experiment field 'm_grid' must be a list of integers, got '12'"),
+     (lambda: MomentQuery(m=5, x=(0.2, 0.3), indices="12"), "moment indices must be a list of integers, got '12'"),
+     (lambda: fourth_moment_scaling("12", (0.2, 0.3), (1, 1, 2, 2)), "m_grid must be a list of integers, got '12'"),
+     (lambda: fourth_moment_scaling([10], (0.2, 0.3), "1122"), "moment indices must be a list of integers, got '1122'"),
+     (lambda: psi((0.2, 0.3), "12"), "psi subset must be a list of integers, got '12'"),
+     (lambda: psi((0.2, 0.3), {1: 2}), "psi subset must be a list of integers, got {1: 2}"),
+     (lambda: MomentQuery(m=5, x=(0.2, 0.3), indices=1), "moment indices must be a list of integers, got 1")],
+    ids=["experiment-grid", "moment-query-indices", "fourth-moment-grid", "fourth-moment-indices", "psi-subset",
+         "psi-mapping", "moment-query-int"],
+)
+def test_a_string_or_mapping_is_not_a_list_of_integers(call, message):
+    # a string was read one character at a time: "12" ran m = 1 and m = 2, or indices (1, 2), and psi returned 0.4594
+    with pytest.raises(ValidationError, match=f"^{message}$"):
         call()
 
 

@@ -7,15 +7,12 @@ from bernstein_simplex import (
     BoundaryProfile,
     SizeLimitError,
     ValidationError,
-    density_variance_leading,
+    density_mse,
     dirichlet_model,
     lattice_size,
     min_coupling_diagnostics,
-    min_coupling_limit,
     min_coupling_sum,
-    pmf_power_sum_scaled,
     pmf_square_diagnostics,
-    pmf_square_sum_limit,
     poisson_equal_probability,
     poisson_within_one_probability,
     simplex,
@@ -111,36 +108,41 @@ class TestConvolutionFold:
             assert row.m * row.rel_gap == pytest.approx(2.74, rel=0.02)
 
 
+def square_sum_limit(profile: BoundaryProfile) -> float:
+    """The predicted limit of the scaled squared-weight sum, as the diagnostic rows carry it."""
+    return pmf_square_diagnostics(profile, (50,))[0].prediction
+
+
 class TestPredictedLimits:
     def test_interior_limit(self):
-        assert pmf_square_sum_limit(PROFILES["d1-interior"]) == pytest.approx(
+        assert square_sum_limit(PROFILES["d1-interior"]) == pytest.approx(
             1.0 / SQRT_PI, rel=1e-12
         )
 
     def test_boundary_limit(self):
-        assert pmf_square_sum_limit(PROFILES["d1-boundary"]) == pytest.approx(
+        assert square_sum_limit(PROFILES["d1-boundary"]) == pytest.approx(
             poisson_equal_probability(1.0), rel=1e-12
         )
-        assert pmf_square_sum_limit(PROFILES["d1-boundary"]) == pytest.approx(
+        assert square_sum_limit(PROFILES["d1-boundary"]) == pytest.approx(
             0.308508, abs=5e-7
         )
 
     def test_mixed_limit_with_zero_lambda(self):
         prof = BoundaryProfile(d=2, boundary={2: 0.0}, interior={1: 0.5})
-        assert pmf_square_sum_limit(prof) == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
+        assert square_sum_limit(prof) == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
 
     @pytest.mark.parametrize("name", list(PROFILES))
     def test_scaled_sums_converge(self, name):
-        prof = PROFILES[name]
-        pred = pmf_square_sum_limit(prof)
-        gap_small = abs(pmf_power_sum_scaled(50, prof, 2) - pred)
-        gap_large = abs(pmf_power_sum_scaled(400, prof, 2) - pred)
+        small, large = pmf_square_diagnostics(PROFILES[name], (50, 400))
+        gap_small = abs(small.scaled_exact - small.prediction)
+        gap_large = abs(large.scaled_exact - large.prediction)
         assert gap_large < gap_small
 
     @pytest.mark.parametrize("name", list(PROFILES))
     def test_cube_sums_stay_bounded(self, name):
+        # the cube sum at the realized point, scaled by m^(d-|J|)
         prof = PROFILES[name]
-        seq = [pmf_power_sum_scaled(m, prof, 3) for m in (50, 100, 200, 400)]
+        seq = [m ** (prof.d - prof.j_size) * sum_pmf_power(m, prof.realized_point(m), 3) for m in (50, 100, 200, 400)]
         assert max(seq) / min(seq) <= 1.25
 
 
@@ -184,30 +186,38 @@ class TestMinCoupling:
         assert value == pytest.approx(-poisson_within_one_probability(1.0), rel=0.02)
 
 
+def coupling_prediction(m: int, profile: BoundaryProfile, p: int) -> float:
+    """The predicted min-coupling sum at bandwidth ``m``: the diagnostic row's prediction over its scale."""
+    (row,) = min_coupling_diagnostics(profile, p, (m,))
+    return row.prediction / (m if p in profile.j_set else math.sqrt(m))
+
+
 class TestMinCouplingLimit:
-    def test_zero_lambda_gives_zero(self):
+    def test_zero_lambda_coordinate_is_refused(self):
+        # lambda = 0 realizes the coordinate at 0, outside the open interval the coupling sum needs; sums skips it
         prof = BoundaryProfile(d=2, boundary={1: 0.0}, interior={2: 0.5})
-        assert min_coupling_limit(100, prof, 1) == 0.0
+        with pytest.raises(ValidationError, match="strictly in"):
+            min_coupling_diagnostics(prof, 1, (100,))
 
     def test_interior_half(self):
         prof = BoundaryProfile.interior_point(0.5)
-        assert min_coupling_limit(25, prof, 1) == pytest.approx(
+        assert coupling_prediction(25, prof, 1) == pytest.approx(
             -1.0 / (2.0 * SQRT_PI) / 5.0, rel=1e-12
         )
 
     def test_boundary_unit_lambda(self):
         prof = BoundaryProfile(d=1, boundary={1: 1.0})
-        assert min_coupling_limit(50, prof, 1) == pytest.approx(-0.523773 / 50, abs=1e-7)
+        assert coupling_prediction(50, prof, 1) == pytest.approx(-0.523773 / 50, abs=1e-7)
 
     def test_index_range(self):
         with pytest.raises(ValidationError):
-            min_coupling_limit(10, PROFILES["d1-interior"], 2)
+            coupling_prediction(10, PROFILES["d1-interior"], 2)
 
     @pytest.mark.parametrize("m", [0, -4, math.nan, True])
     def test_bandwidth_must_be_a_finite_positive_number(self, m):
         # 0 divided by zero, NaN came back as NaN and True ran as m = 1
         with pytest.raises(ValidationError, match="bandwidth 'm' must be a finite positive number"):
-            min_coupling_limit(m, PROFILES["d1-boundary"], 1)
+            min_coupling_diagnostics(PROFILES["d1-boundary"], 1, (m,))
 
 
 class TestDiagnostics:
@@ -248,23 +258,11 @@ class TestDiagnostics:
         rows = min_coupling_diagnostics(prof, 1, (64,))
         assert rows[0].scaled_exact == pytest.approx(8 * rows[0].exact, rel=1e-14)
 
-    @pytest.mark.parametrize("name,p", [("d2-mixed", 2), ("d2-mixed", 1), ("d1-boundary", 1), ("d1-interior", 1)])
-    def test_min_coupling_prediction_is_the_limit_times_its_scale(self, name, p):
-        prof = PROFILES[name]
-        for row in min_coupling_diagnostics(prof, p, (50, 64, 200)):
-            scale = row.m if p in prof.j_set else math.sqrt(row.m)
-            assert row.prediction / scale == min_coupling_limit(row.m, prof, p)
-
-    def test_square_sum_rows_match_scaled_sum(self):
-        for name, prof in PROFILES.items():
-            for row in pmf_square_diagnostics(prof, (20, 45)):
-                assert row.scaled_exact == pmf_power_sum_scaled(row.m, prof, 2)
-
     @pytest.mark.parametrize("name", list(PROFILES))
     def test_density_variance_shares_the_square_sum_limit(self, name):
         # the density variance factor is f on the slice times the squared-weight sum limit
         prof = PROFILES[name]
         model = dirichlet_model([1.0 if i in prof.boundary else 2.0 for i in range(1, prof.d + 1)] + [2.0])
         m, n = 400.0, 1e5
-        scaled = density_variance_leading(model, prof, m, n) * n / m ** ((prof.d + prof.j_size) / 2)
-        assert scaled == pytest.approx(model.density(prof.slice_point()) * pmf_square_sum_limit(prof), rel=1e-15)
+        scaled = density_mse(model, prof, m, n).terms["var_leading"] * n / m ** ((prof.d + prof.j_size) / 2)
+        assert scaled == pytest.approx(model.density(prof.slice_point()) * square_sum_limit(prof), rel=1e-15)

@@ -116,6 +116,20 @@ class TestLattice:
     def test_zero_order_single_point(self):
         assert lattice_array(0, 3).tolist() == [[0, 0, 0]]
 
+    @pytest.mark.parametrize(
+        "m,d,message",
+        [(-1, 2, "order m must be >= 0, got -1"), (3, 0, "dimension d must be >= 1, got 0"),
+         (True, 1, "order m must be an integer, got True"), (2.5, 1, "order m must be an integer, got 2.5"),
+         (3, -1, "dimension d must be >= 1, got -1")],
+    )
+    def test_size_checks_its_arguments(self, m, d, message):
+        # -1, 0 and True gave 0, 1 and 2 points; 2.5 ended in a TypeError and d = -1 in a ValueError
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            lattice_size(m, d)
+
+    def test_size_converts_its_arguments(self):
+        assert lattice_size(3.0, np.int64(2)) == lattice_size("3", 2.0) == lattice_size(3, 2) == 10
+
     def test_d3_count_against_triple_loop(self):
         brute = sum(
             1
