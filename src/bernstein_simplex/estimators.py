@@ -23,6 +23,9 @@ from .simplex import SimplexPoint, _log_multinomial_pmfs, _validated_points, che
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
 
+#: Rows of data binned at a time.
+_BIN_BLOCK = 65536
+
 
 def _csv_floats(record: list[str]) -> list[float] | None:
     """The cells of a CSV record as floats, or ``None`` if one of them is not a number."""
@@ -167,12 +170,26 @@ def _upper_grid_index(points: np.ndarray, m: int) -> np.ndarray:
     return index
 
 
-def _grid_counts(index: np.ndarray, side: int) -> np.ndarray:
-    """Counts of the rows of an ``(n, d)`` index array on the ``side**d`` grid, shaped as the grid."""
-    shape = (side,) * index.shape[1]
+def _grid_counts(points: np.ndarray, m: int, cubes: bool) -> np.ndarray:
+    """Counts of the rows of ``(n, d)`` points on a grid of mesh 1/m, shaped as the grid.
+
+    A row counts at its upper grid index on the ``(m+1)**d`` grid, or with
+    ``cubes`` one below it, clamped at 0, on the ``m**d`` grid.  The rows
+    are indexed ``_BIN_BLOCK`` at a time into one array of flat keys, so
+    no ``(n, d)`` temporary is made, and the keys are counted at once: a
+    count per block would cost the whole grid per block.
+    """
+    n, d = points.shape
+    shape = (m if cubes else m + 1,) * d
     check_grid_size(shape)
-    flat = index[:, 0] if len(shape) == 1 else np.ravel_multi_index(tuple(index.T), shape)
-    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    keys = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _BIN_BLOCK):
+        index = _upper_grid_index(points[start : start + _BIN_BLOCK], m)
+        if cubes:
+            index -= 1
+            np.maximum(index, 0, out=index)
+        keys[start : start + len(index)] = index[:, 0] if d == 1 else np.ravel_multi_index(tuple(index.T), shape)
+    return np.bincount(keys, minlength=math.prod(shape)).reshape(shape)
 
 
 def _weighted_sums(cells: np.ndarray, values: np.ndarray, order: int, xs: Sequence[Sequence[float]]) -> np.ndarray:
@@ -199,7 +216,7 @@ def bernstein_cdf_many(
     """
     m = _as_order(m, 1)
     xs = _evaluation_rows(points, data.d)
-    below = _grid_counts(_upper_grid_index(data.points, m), m + 1)
+    below = _grid_counts(data.points, m, cubes=False)
     for axis in range(data.d):
         np.cumsum(below, axis=axis, out=below)
     karr = lattice_array(m, data.d)
@@ -226,16 +243,15 @@ def _cube_counts(data: Dataset, m: int) -> tuple[np.ndarray, np.ndarray]:
     which sum to n.  The cube of ``x`` is one below its upper grid index,
     so ``x = k/m`` falls in the cube ``((k-1)/m, k/m]``, and a coordinate
     0, which the half-open convention would leave unassigned, in the
-    lowest cube.  A point whose coordinates sum to 1 only up to rounding
+    lowest cube.  The rows are binned a block at a time on the dense
+    ``m**d`` grid (:func:`_grid_counts`), and only then are the occupied
+    cubes read off.  A point whose coordinates sum to 1 only up to rounding
     can land one cube past the order-(m - 1) lattice; that cube's largest
     index (the first on a tie) is lowered by one, so every cube lies on
     that lattice.
     """
     shape = (m,) * data.d
-    cells = _upper_grid_index(data.points, m)
-    cells -= 1
-    np.maximum(cells, 0, out=cells)
-    flat = _grid_counts(cells, m).ravel()
+    flat = _grid_counts(data.points, m, cubes=True).ravel()
     keys = np.flatnonzero(flat)
     cells = np.column_stack(np.unravel_index(keys, shape))
     over = cells.sum(axis=1) > m - 1

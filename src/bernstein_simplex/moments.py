@@ -19,6 +19,11 @@ from .errors import ValidationError, _as_int, _as_order, _list_items
 from .simplex import SimplexPoint, _poisson_fold, _shares
 
 
+def _moment_indices(indices: object, d: int) -> tuple[int, ...]:
+    """``indices`` as 1-based coordinates of a d-dimensional point, or a :class:`ValidationError`."""
+    return tuple(_as_int(i, "a moment index", least=1, most=d) for i in _list_items(indices, "moment indices"))
+
+
 @dataclass(frozen=True)
 class MomentQuery:
     """A joint central moment request: indices are 1-based, repeats allowed."""
@@ -30,7 +35,7 @@ class MomentQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", SimplexPoint.of(self.x))
         object.__setattr__(self, "m", _as_order(self.m, 0))
-        indices = tuple(_as_int(i, "a moment index", least=1, most=self.x.d) for i in _list_items(self.indices, "moment indices"))
+        indices = _moment_indices(self.indices, self.x.d)
         if not 2 <= len(indices) <= 4:
             raise ValidationError(f"moment order must be 2..4, got {len(indices)}")
         object.__setattr__(self, "indices", indices)
@@ -98,5 +103,6 @@ def fourth_moment_scaling(
     if len(indices) != 4:
         raise ValidationError(f"need exactly 4 indices, got {len(indices)}")
     point = SimplexPoint.of(x)
+    indices = _moment_indices(indices, point.d)  # checked here too, so an empty grid refuses what a full one does
     orders = [_as_order(m, 1) for m in _list_items(m_grid, "m_grid")]  # m = 0 would divide by zero below
     return [abs(central_moment_bruteforce(MomentQuery(m=m, x=point, indices=indices))) / float(m) ** 2 for m in orders]

@@ -34,7 +34,12 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 
 def sample(model: DensityModel, n: int, seed: "int | np.random.Generator") -> Dataset:
-    """Draw ``n`` independent observations from the model, deterministically per seed."""
+    """Draw ``n`` independent observations from the model, deterministically per seed.
+
+    The draws pass the simplex rule like any other data: a model's sampler
+    can be user code, so its output is checked, not trusted.  The
+    :class:`Dataset` holds one validated copy of them.
+    """
     if model.sampler is None:
         raise ValidationError(f"model {model.name!r} is not sampleable")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_as_seed(seed))

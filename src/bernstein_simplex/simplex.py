@@ -28,7 +28,11 @@ def _validated_points(
 ) -> np.ndarray:
     """``arr`` checked, clipped and rescaled onto the simplex: the one rule for points and data rows.
 
-    Errors name a row by ``label`` if one is given, else by ``lines[index]``, else 1-based.
+    The result is one new read-only C-order float array; the caller's is never
+    written.  Clean rows pass on the copy's minimum and largest row sum alone;
+    only when those are out of range do the row scans run, to find the first
+    fault and name its row.  Errors name a row by ``label`` if one is given,
+    else by ``lines[index]``, else 1-based.
     """
     if arr.ndim != 2:
         raise ValidationError("data must be a 2-d array of shape (n, d)")
@@ -37,20 +41,23 @@ def _validated_points(
         raise ValidationError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
     name = lambda row: label or f"row {row + 1 if lines is None else lines[row]}"  # noqa: E731
     # numpy sums a row in an order that depends on the memory layout; one layout, one result
-    arr = np.ascontiguousarray(arr, dtype=float)
-    if not np.isfinite(arr).all():
-        row = int(np.argwhere(~np.isfinite(arr))[0, 0])
-        raise ValidationError(f"{name(row)}: non-finite value")
-    if (arr < -tol).any():
-        row = int(np.argwhere(arr < -tol)[0, 0])
-        raise ValidationError(f"{name(row)}: negative coordinate beyond tolerance")
-    arr = np.maximum(arr, 0.0)  # a new array, so the rescaling below leaves the caller's alone
-    sums = arr.sum(axis=1)
-    if (sums > 1.0 + tol).any():
+    arr = np.array(arr, dtype=float, order="C")
+    low = arr.min()
+    if -tol <= low <= 0.0:  # -0.0 too, as it prints differently; below -tol the scans raise on the values as given
+        np.maximum(arr, 0.0, out=arr)
+    sums = arr.sum(axis=1) if d > 1 else arr[:, 0]  # one coordinate is its own sum, bit for bit
+    high = sums.max()
+    if not (low >= -tol and high <= 1.0 + tol):  # NaN fails both comparisons
+        if not np.isfinite(arr).all():
+            row = int(np.argwhere(~np.isfinite(arr))[0, 0])
+            raise ValidationError(f"{name(row)}: non-finite value")
+        if (arr < -tol).any():
+            row = int(np.argwhere(arr < -tol)[0, 0])
+            raise ValidationError(f"{name(row)}: negative coordinate beyond tolerance")
         row = int(np.argmax(sums > 1.0 + tol))
         raise ValidationError(f"{name(row)}: coordinate sum {float(sums[row])!r} > 1 beyond tolerance")
-    over = sums > 1.0
-    if over.any():
+    if high > 1.0:
+        over = sums > 1.0
         arr[over] /= sums[over, None]
     arr.setflags(write=False)
     return arr

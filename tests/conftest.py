@@ -301,3 +301,33 @@ def reference_read_csv(source, d=None) -> np.ndarray:
     if not rows:
         raise ValidationError("no data rows found")
     return _validated_points(np.asarray(rows, dtype=float), CSV_TOLERANCE, lines)
+
+
+def reference_validated_points(arr, tol=simplex.COORD_TOLERANCE, lines=None, label=""):
+    """The simplex rule with every scan run in full, on a contiguous copy that a separate clip copies again.
+
+    The package's rule must give the same bytes and the same error text.
+    """
+    if arr.ndim != 2:
+        raise ValidationError("data must be a 2-d array of shape (n, d)")
+    n, d = arr.shape
+    if n < 1 or d < 1:
+        raise ValidationError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
+    name = lambda row: label or f"row {row + 1 if lines is None else lines[row]}"  # noqa: E731
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        row = int(np.argwhere(~np.isfinite(arr))[0, 0])
+        raise ValidationError(f"{name(row)}: non-finite value")
+    if (arr < -tol).any():
+        row = int(np.argwhere(arr < -tol)[0, 0])
+        raise ValidationError(f"{name(row)}: negative coordinate beyond tolerance")
+    arr = np.maximum(arr, 0.0)
+    sums = arr.sum(axis=1)
+    if (sums > 1.0 + tol).any():
+        row = int(np.argmax(sums > 1.0 + tol))
+        raise ValidationError(f"{name(row)}: coordinate sum {float(sums[row])!r} > 1 beyond tolerance")
+    over = sums > 1.0
+    if over.any():
+        arr[over] /= sums[over, None]
+    arr.setflags(write=False)
+    return arr

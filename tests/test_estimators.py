@@ -15,10 +15,11 @@ from bernstein_simplex import (
     bernstein_cdf_many,
     bernstein_density,
     bernstein_density_many,
+    lattice_array,
     sample,
 )
 
-from bernstein_simplex import simplex
+from bernstein_simplex import estimators, simplex
 from bernstein_simplex.cli import main
 from bernstein_simplex.estimators import _cube_counts, _loadtxt_points, _upper_grid_index
 
@@ -400,6 +401,33 @@ class TestHistogram:
         points.write_text("0.2,0.3\n")
         assert main(["estimate", "--data", str(data), "--m", "3", "--kind", "density", "--points", str(points)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "0.2,0.3,1.08"
+
+
+class TestBinningBlocks:
+    """Binning a block of rows at a time gives the bits that binning every row at once gives."""
+
+    @pytest.mark.parametrize("d,m", [(1, 40), (2, 13), (3, 7)])
+    def test_blocks_match_one_block(self, monkeypatch, d, m):
+        block = estimators._BIN_BLOCK
+        n = 2 * block + 7
+        rng = np.random.default_rng(70 + d)
+        lattice = lattice_array(m, d)
+        rows = lattice[rng.integers(len(lattice), size=n)] / m
+        # lattice values k/m and their float neighbours, in every block; an exact k/m on each side of each block edge
+        step = rng.integers(-1, 2, size=rows.shape)
+        step[[0, block - 1, block, 2 * block - 1, 2 * block, n - 1]] = 0
+        rows = np.where(step < 0, np.nextafter(rows, 0.0), np.where(step > 0, np.nextafter(rows, 1.0), rows))
+        data = Dataset(rows)
+        xs = [(0.3 / d,) * d, tuple(lattice[len(lattice) // 2] / m), (0.0,) * d]
+
+        def binned():
+            cells, counts = _cube_counts(data, m)
+            density, cdf = bernstein_density_many(data, m, xs), bernstein_cdf_many(data, m, xs)
+            return cells.tobytes(), counts.tobytes(), density.tobytes(), cdf.tobytes()
+
+        in_blocks = binned()
+        monkeypatch.setattr(estimators, "_BIN_BLOCK", n)
+        assert binned() == in_blocks
 
 
 class TestGridCap:

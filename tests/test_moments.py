@@ -175,6 +175,12 @@ class TestFourthMoment:
         with pytest.raises(ValidationError, match="order m must be >= 1, got 0"):
             fourth_moment_scaling([0, 5], 0.5, (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("grid", [[], [10]])
+    def test_indices_are_checked_before_the_grid(self, grid):
+        # an empty grid refuses the indices a full one refuses
+        with pytest.raises(ValidationError, match=r"^a moment index must be in 1\.\.2, got 9$"):
+            fourth_moment_scaling(grid, (0.2, 0.3), (9, 9, 9, 9))
+
     def test_requires_four_indices(self):
         with pytest.raises(ValidationError):
             fourth_moment_scaling((4, 8), 0.5, (1, 1))

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bernstein_simplex import (
     Experiment,
     ValidationError,
     band_summary,
+    bernstein_density,
     cdf_mse,
     density_mse,
     dirichlet_model,
@@ -57,6 +59,26 @@ class TestSampling:
             sample(dir222, 10, -1)
         with pytest.raises(ValidationError, match="sample size n must be an integer"):
             sample(dir222, 2.5, 1)
+
+
+class TestReplicateMemory:
+    def test_one_copy_of_the_draws(self, beta22):
+        # C07's replicate: the sampler's (n, 2) draws and the Dataset's one (n, 1) copy are the only arrays of size n
+        # while sampling; binning adds one array of n flat keys and block-sized temporaries
+        n, mib = 10**6, 2**20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data = sample(beta22, n, np.random.default_rng(23))
+            sample_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            bernstein_density(data, 40, 0.3)
+            density_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        draws = n * 2 * np.dtype(float).itemsize
+        assert sample_peak <= draws + data.points.nbytes + mib
+        assert density_peak <= 2 * data.points.nbytes + 4 * mib
 
 
 class TestMcBiasVariance:

@@ -20,7 +20,7 @@ from bernstein_simplex import (
 from bernstein_simplex import simplex
 from bernstein_simplex.simplex import log_factorials
 
-from conftest import binom_pmf_exact, iter_lattice, multinomial_pmf_exact
+from conftest import binom_pmf_exact, iter_lattice, multinomial_pmf_exact, reference_validated_points
 
 
 def _scaled_to(raw: list[float], total: float) -> list[float]:
@@ -95,6 +95,101 @@ class TestSimplexPoint:
         rows = np.random.default_rng(5).random((500, 9))
         rows /= rows.sum(axis=1)[:, None]
         assert Dataset(np.asfortranarray(rows)).points.tobytes() == Dataset(rows).points.tobytes()
+
+
+def _rule_outcome(rule, arr, *args):
+    """What ``rule`` makes of ``arr``: its output's bytes and layout, or its error text; the input must stay as it was."""
+    before = (arr.tobytes(order="A"), arr.strides)
+    try:
+        out = rule(arr, *args)
+        outcome = (out.tobytes(), out.shape, out.dtype.str, out.flags.c_contiguous, out.flags.writeable)
+    except ValidationError as err:
+        outcome = str(err)
+    assert (arr.tobytes(order="A"), arr.strides) == before
+    return outcome
+
+
+def _ulp_neighbours(values):
+    """``values`` and their float neighbours on both sides, within [0, 1]."""
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+
+
+class TestValidatedPointsBits:
+    """The simplex rule against :func:`conftest.reference_validated_points`: the same bytes, the same error text."""
+
+    @staticmethod
+    def agree(arr, *args):
+        outcome = _rule_outcome(simplex._validated_points, arr, *args)
+        assert outcome == _rule_outcome(reference_validated_points, arr, *args)
+        return outcome
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 5.0])
+    def test_dirichlet_draws(self, d, alpha):
+        draws = np.random.default_rng(40 + d).dirichlet(np.full(d + 1, alpha), size=3000)
+        for arr in (draws[:, :d], np.ascontiguousarray(draws[:, :d]), np.asfortranarray(draws[:, :d]), draws):
+            assert not isinstance(self.agree(arr), str)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lattice_values_and_their_neighbours(self, d):
+        for m in (1, 7, 40, 137):
+            rows = _ulp_neighbours(lattice_array(m, d) / m)
+            self.agree(rows)
+            self.agree(np.asfortranarray(rows))
+
+    def test_negative_zero(self):
+        for rows in ([[-0.0], [0.5]], [[0.5], [-0.0]], [[-0.0, 0.5], [0.3, 0.2]], [[-0.0, -0.0, 1.0]], [[0.0, -0.0]]):
+            self.agree(np.array(rows))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sums_just_above_one(self, d):
+        rng = np.random.default_rng(50 + d)
+        for total in (1.0 + 1e-16, 1.0 + simplex.COORD_TOLERANCE / 2):
+            shares = rng.dirichlet(np.ones(d), size=500)
+            rows = shares * total
+            rows[:, -1] = total - rows[:, :-1].sum(axis=1)
+            self.agree(rows)
+            self.agree(np.asfortranarray(rows))
+
+    FAULT_ROWS = {
+        "nan": lambda d: [math.nan] + [0.0] * (d - 1),
+        "inf": lambda d: [math.inf] + [0.0] * (d - 1),
+        "-inf": lambda d: [0.0] * (d - 1) + [-math.inf],
+        "negative": lambda d: [-1e-6] + [0.1] * (d - 1),
+        "sum": lambda d: [(1.0 + 1e-6) / d] * d,
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("fault", FAULT_ROWS)
+    def test_a_fault_in_a_middle_row(self, d, fault):
+        arr = np.random.default_rng(60).dirichlet(np.ones(d + 1), size=21)[:, :d]
+        arr[10] = self.FAULT_ROWS[fault](d)
+        lines = list(range(5, 26))
+        for args in ((), (simplex.COORD_TOLERANCE, lines), (1e-9, lines), (1e-9, None, "here")):
+            assert isinstance(self.agree(arr, *args), str)
+
+    def test_the_first_fault_in_the_scan_order_is_named(self):
+        base = np.full((12, 2), 0.25)
+        for faults in ({3: -0.5, 7: math.nan}, {2: 0.9, 9: math.inf}, {2: 0.9, 9: -0.5}, {9: -math.inf, 2: 0.9}):
+            arr = base.copy()
+            for row, value in faults.items():
+                arr[row, 0] = value
+            self.agree(arr)
+
+    def test_shape_errors(self):
+        for arr in (np.zeros(3), np.zeros((0, 2)), np.zeros((2, 0))):
+            self.agree(arr)
+
+    @pytest.mark.parametrize("coords", [(0.2,), (-0.0, 0.5), (-5e-13, 0.5), (0.5, 0.5 + 5e-13), (1 / 3, 2 / 3), (0.6, 0.5), (math.inf,)])
+    def test_a_point_is_a_one_row_input(self, coords):
+        label = f"simplex point {coords}"
+        expected = _rule_outcome(reference_validated_points, np.array([coords]), simplex.COORD_TOLERANCE, None, label)
+        try:
+            point = SimplexPoint.of(coords)
+        except ValidationError as err:
+            assert str(err) == expected
+        else:
+            assert np.array(point.coords).tobytes() == expected[0]
 
 
 class TestLattice:
