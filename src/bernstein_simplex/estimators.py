@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError, _as_int, _as_order
-from .simplex import SimplexPoint, _log_multinomial_pmfs, _validated_points, check_grid_size, lattice_array
+from .simplex import SimplexPoint, _log_multinomial_pmfs, _row_sums, _validated_points, check_grid_size, lattice_array
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
@@ -62,32 +63,61 @@ def _read_csv_rows(lines: Iterable[str], d: int | None) -> np.ndarray:
     return _validated_points(np.asarray(rows, dtype=float), CSV_TOLERANCE, linenos)
 
 
-def _loadtxt_points(text: str, d: int | None) -> np.ndarray | None:
-    """What :func:`_read_csv_rows` returns for ``text``, from one ``np.loadtxt`` call; ``None`` where it cannot tell.
+def _parsed_points(first: str, rest: Iterable[str], source: "str | list[str]", d: int | None) -> np.ndarray | None:
+    """What :func:`_read_csv_rows` returns for a source, from one ``np.loadtxt`` call; ``None`` where it cannot tell.
 
+    ``first`` is the source's first line, ``rest`` its later lines, read only
+    up to the first one that is not blank, and ``source`` what numpy reads.
     ``np.loadtxt`` accepts a subset of what ``float()`` accepts and gives the
-    same value on it.  Quotes, a lone carriage return and a blank first line
-    change how rows are split or counted, so they, a file with no data row,
-    and every parse or validation failure are left to the row-by-row reader.
+    same value on it.  A quote or a blank first line changes how records are
+    split or counted, so those, a source with no data row, and every parse
+    or validation failure are left to the row-by-row reader.
     """
-    if not text or '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+    if '"' in first:
+        return None  # a quote in a later row fails numpy's float parse
+    record = next(csv.reader([first]), [])
+    if _blank(record):
         return None
-    lines = text.split("\n")
-    first = next(csv.reader(lines[:1]))
-    if _blank(first):
-        return None
-    header = _csv_floats(first) is None
-    if header and all(not line.strip() for line in lines[1:]):
+    header = _csv_floats(record) is None
+    if header and all(not line.strip() for line in rest):
         return None  # keeps np.loadtxt from warning that the input has no data
     try:
-        arr = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, skiprows=int(header), ndmin=2)
-    except ValueError:
+        arr = np.loadtxt(
+            source, dtype=float, delimiter=",", comments=None, skiprows=int(header), ndmin=2, encoding="utf-8-sig"
+        )
+    except Exception:  # whatever numpy refuses, the row reader reads again and names the fault, if there is one
         return None
     if d is not None and arr.shape[1] != d:
         return None
     try:
         return _validated_points(arr, CSV_TOLERANCE)
     except ValidationError:
+        return None
+
+
+def _loadtxt_points(text: str, d: int | None) -> np.ndarray | None:
+    """:func:`_parsed_points` of ``text`` split at ``\\n``; ``None`` on a lone carriage return, which ends a csv row."""
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.split("\n")
+    return _parsed_points(lines[0], lines[1:], lines, d)
+
+
+def _csv_file_points(path: "str | bytes", d: int | None) -> np.ndarray | None:
+    """:func:`_parsed_points` of the file at ``path``, read by numpy in C chunks; ``None`` unless it is a ``.csv`` file.
+
+    Only a regular file whose name ends in ``.csv`` (any case) goes to numpy,
+    by its absolute path: numpy's opener decompresses by suffix (``.gz``,
+    ``.bz2``, ...) and fetches URL-shaped names, and would open a FIFO a
+    second time.  A byte that is not UTF-8 also leaves it ``None``, so the
+    error names its position in the whole file, as the text route reads it.
+    """
+    if not (isinstance(path, str) and path[-4:].lower() == ".csv" and os.path.isfile(path)):
+        return None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return _parsed_points(fh.readline(), fh, os.path.abspath(path), d)
+    except (OSError, UnicodeDecodeError):
         return None
 
 
@@ -108,24 +138,30 @@ class Dataset:
         return cls(arr)
 
     @classmethod
-    def from_csv(cls, source: "str | io.TextIOBase", d: int | None = None) -> "Dataset":
-        """Read one observation per row; an optional non-numeric header is skipped.
+    def from_csv(cls, source: "str | os.PathLike | io.TextIOBase", d: int | None = None) -> "Dataset":
+        """Read one observation per row from a path or a text stream; an optional non-numeric header is skipped.
 
         Rows violating the simplex constraints beyond ``CSV_TOLERANCE`` are
         rejected with the offending row number (1-based, counting the header).
         One leading byte-order mark (U+FEFF, as in a "CSV UTF-8" spreadsheet
-        export) is dropped.  The whole source is parsed in one vectorised
-        pass; whatever that pass cannot settle is read again row by row, which
-        is where every error message comes from.
+        export) is dropped.  A regular file whose name ends in ``.csv`` is
+        parsed by numpy from its path; any other source (a stream, a pipe, a
+        file of another name) is read into one text and parsed from that.
+        Whatever the one vectorised pass cannot settle is read again row by
+        row, which is where every error message comes from.
         """
         d = None if d is None else _as_int(d, "dimension d", least=1)
-        if isinstance(source, str):
-            with open(source, newline="", encoding="utf-8") as fh:
-                return cls.from_csv(fh, d=d)
-        text = source.read().removeprefix("\ufeff")
-        points = _loadtxt_points(text, d)
-        if points is None:
-            points = _read_csv_rows(io.StringIO(text, newline=""), d)
+        if isinstance(source, (str, os.PathLike)):
+            path = os.fspath(source)
+            points = _csv_file_points(path, d)
+            if points is None:
+                with open(path, newline="", encoding="utf-8") as fh:
+                    return cls.from_csv(fh, d=d)
+        else:
+            text = source.read().removeprefix("\ufeff")
+            points = _loadtxt_points(text, d)
+            if points is None:
+                points = _read_csv_rows(io.StringIO(text, newline=""), d)
         dataset = object.__new__(cls)  # the rows passed the simplex rule once, under CSV_TOLERANCE; not again
         object.__setattr__(dataset, "points", points)
         return dataset
@@ -254,7 +290,7 @@ def _cube_counts(data: Dataset, m: int) -> tuple[np.ndarray, np.ndarray]:
     flat = _grid_counts(data.points, m, cubes=True).ravel()
     keys = np.flatnonzero(flat)
     cells = np.column_stack(np.unravel_index(keys, shape))
-    over = cells.sum(axis=1) > m - 1
+    over = _row_sums(cells) > m - 1
     if over.any():
         moved = cells[over]
         moved[np.arange(len(moved)), moved.argmax(axis=1)] -= 1

@@ -23,6 +23,26 @@ COORD_TOLERANCE = 1e-12
 MAX_LATTICE_SIZE = 10**8
 
 
+def _row_sums(arr: np.ndarray) -> np.ndarray:
+    """``arr.sum(axis=1)`` bit for bit, for a C-order float64 or int64 ``arr``; at d = 1 the column itself, a view.
+
+    Below 8 columns numpy adds a row's entries one after another onto +0.0,
+    and from 8 on it sums them in pairwise blocks.  Adding whole columns in
+    that order gives the same bits without a reduction per row.
+    """
+    d = arr.shape[1]
+    if d == 1:
+        return arr[:, 0]
+    if d >= 8:
+        return arr.sum(axis=1)
+    out = arr[:, 0] + arr[:, 1]
+    for j in range(2, d):
+        out += arr[:, j]
+    if out.dtype.kind == "f":
+        out += 0.0  # the +0.0 numpy starts from: a row of -0.0 sums to 0.0
+    return out
+
+
 def _validated_points(
     arr: np.ndarray, tol: float = COORD_TOLERANCE, lines: Sequence[int] | None = None, label: str = ""
 ) -> np.ndarray:
@@ -45,7 +65,7 @@ def _validated_points(
     low = arr.min()
     if -tol <= low <= 0.0:  # -0.0 too, as it prints differently; below -tol the scans raise on the values as given
         np.maximum(arr, 0.0, out=arr)
-    sums = arr.sum(axis=1) if d > 1 else arr[:, 0]  # one coordinate is its own sum, bit for bit
+    sums = _row_sums(arr)
     high = sums.max()
     if not (low >= -tol and high <= 1.0 + tol):  # NaN fails both comparisons
         if not np.isfinite(arr).all():
@@ -156,7 +176,7 @@ def lattice_array(m: int, d: int) -> np.ndarray:
     m, d = check_lattice_size(m, d)
     out = np.arange(m + 1, dtype=np.int64)[:, None]
     for width in range(2, d + 1):
-        room = m + 1 - out.sum(axis=1)
+        room = m + 1 - _row_sums(out)
         grown = np.empty((lattice_size(m, width), width), dtype=np.int64)
         for j in range(width - 1):
             grown[:, j] = np.repeat(out[:, j], room)
@@ -244,15 +264,15 @@ def log_multinomial_pmf(karr: np.ndarray, m: int, x: SimplexPoint) -> np.ndarray
     karr = np.asarray(karr, dtype=np.int64)
     if karr.ndim != 2 or karr.shape[1] != x.d:
         raise ValidationError(f"index array of shape {karr.shape} needs {x.d} columns, one per coordinate")
-    if np.any(karr < 0) or np.any(karr.sum(axis=1) > m):
+    if np.any(karr < 0) or np.any(_row_sums(karr) > m):
         raise ValidationError("lattice indices must be >= 0 with sum <= m")
     return next(_log_multinomial_pmfs(karr, m, [x.coords]))
 
 
 def _log_multinomial_pmfs(karr: np.ndarray, m: int, xs: Iterable[Sequence[float]]) -> Iterator[np.ndarray]:
     """:func:`log_multinomial_pmf` at each coordinate row of ``xs``, for an int64 ``karr`` valid by construction; nothing is re-checked."""
-    lf, rem_k = log_factorials(m), m - karr.sum(axis=1)
-    coef = lf[m] - lf[karr].sum(axis=1) - lf[rem_k]  # the log coefficients, built once: only the powers of x depend on the point
+    lf, rem_k = log_factorials(m), m - _row_sums(karr)
+    coef = lf[m] - _row_sums(lf[karr]) - lf[rem_k]  # the log coefficients, built once: only the powers of x depend on the point
     for coords in xs:
         out = coef
         for ki, xi in zip((*karr.T, rem_k), _shares(coords)):

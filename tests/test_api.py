@@ -133,6 +133,16 @@ def test_each_precondition_has_one_rule():
         assert sorted(name for name, source in sources.items() if text in source) == [module], text
 
 
+def test_row_sums_have_one_rule():
+    # numpy reduces each row on its own; _row_sums gives the same bits from whole-column adds below 8 columns
+    package = pathlib.Path(bernstein_simplex.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    row_sums = next(node for node in ast.parse(sources["simplex"]).body if getattr(node, "name", "") == "_row_sums")
+    inside = re.findall(r"sum\(axis=1\)", ast.get_source_segment(sources["simplex"], row_sums))
+    everywhere = [hit for source in sources.values() for hit in re.findall(r"sum\([^()]*axis=-?1\b", source)]
+    assert inside and len(everywhere) == len(inside)
+
+
 #: what montecarlo takes from asymptotics: verify's theory columns are the terms of the reports that theory prints
 MONTECARLO_FROM_ASYMPTOTICS = {"BoundaryProfile", "cdf_mse", "density_mse"}
 

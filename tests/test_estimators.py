@@ -1,5 +1,10 @@
 import io
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -21,7 +26,7 @@ from bernstein_simplex import (
 
 from bernstein_simplex import estimators, simplex
 from bernstein_simplex.cli import main
-from bernstein_simplex.estimators import _cube_counts, _loadtxt_points, _upper_grid_index
+from bernstein_simplex.estimators import _csv_file_points, _cube_counts, _loadtxt_points, _upper_grid_index
 
 from conftest import (
     multinomial_pmf_exact,
@@ -131,6 +136,37 @@ def simplex_csv(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline])), d
 
 
+#: sources that the row reader refuses, with the dimension asked for
+ERROR_CASES = [
+    ("0.1,0.2\n0.3\n", None),
+    ("0.1,0.2\n0.3,0.4\n", 3),
+    ("a,b\n0.1,0.2\n\n0.2,nan\n", None),
+    ("a,b\r\n\r\n0.1,0.2\r\n-inf,0.1\r\n", None),
+    ("a,b\n0.1,0.2\n\n0.2,0.3\n-0.5,0.3\n", 2),
+    ("a,b\n\n0.1,0.2\n0.9,0.3\n", None),
+    ("0.1\n0.2\noops\n0.3\n", None),
+    ("\nx1\n0.1\n", None),
+    ("0.1\n0.5 # note\n", None),
+    ("0.1\n1_0\n", None),
+    ("x1,x2\n", None),
+    ("x1,x2\n\n\r\n", 2),
+    ("", None),
+]
+ERROR_IDS = ["ragged", "d-mismatch", "nan", "inf-crlf", "negative", "sum-over-one", "non-numeric-mid-file",
+             "blank-line-1-then-header", "hash-is-not-a-comment", "underscore-digits", "header-only",
+             "header-and-blank-lines", "empty"]
+
+#: sources that only the row reader can read
+ROW_READER_CASES = ['"0.1","0.2"\n0.3,0.4\n', '"x1","x2"\n0.1,0.2\n', "0.1\n0.2_5\n", "\n0.1\n0.2\n"]
+ROW_READER_IDS = ["quoted-cells", "quoted-header", "underscore-digits", "blank-line-1"]
+
+
+def _write_csv(path, text: str) -> str:
+    """``text`` written to ``path`` byte for byte, line ends as given; the path as a string."""
+    path.write_bytes(text.encode())
+    return str(path)
+
+
 @pytest.mark.filterwarnings("error")
 class TestCsvParity:
     """The one-pass parser and the row-by-row reader give the same points and the same errors."""
@@ -145,27 +181,7 @@ class TestCsvParity:
         want = reference_read_csv(io.StringIO(text), d)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize(
-        "text,d",
-        [
-            ("0.1,0.2\n0.3\n", None),
-            ("0.1,0.2\n0.3,0.4\n", 3),
-            ("a,b\n0.1,0.2\n\n0.2,nan\n", None),
-            ("a,b\r\n\r\n0.1,0.2\r\n-inf,0.1\r\n", None),
-            ("a,b\n0.1,0.2\n\n0.2,0.3\n-0.5,0.3\n", 2),
-            ("a,b\n\n0.1,0.2\n0.9,0.3\n", None),
-            ("0.1\n0.2\noops\n0.3\n", None),
-            ("\nx1\n0.1\n", None),
-            ("0.1\n0.5 # note\n", None),
-            ("0.1\n1_0\n", None),
-            ("x1,x2\n", None),
-            ("x1,x2\n\n\r\n", 2),
-            ("", None),
-        ],
-        ids=["ragged", "d-mismatch", "nan", "inf-crlf", "negative", "sum-over-one", "non-numeric-mid-file",
-             "blank-line-1-then-header", "hash-is-not-a-comment", "underscore-digits", "header-only",
-             "header-and-blank-lines", "empty"],
-    )
+    @pytest.mark.parametrize("text,d", ERROR_CASES, ids=ERROR_IDS)
     def test_error_message_is_the_row_readers(self, text, d):
         with pytest.raises(ValidationError) as want:
             reference_read_csv(io.StringIO(text), d)
@@ -173,11 +189,7 @@ class TestCsvParity:
             Dataset.from_csv(io.StringIO(text), d=d)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize(
-        "text",
-        ['"0.1","0.2"\n0.3,0.4\n', '"x1","x2"\n0.1,0.2\n', "0.1\n0.2_5\n", "\n0.1\n0.2\n"],
-        ids=["quoted-cells", "quoted-header", "underscore-digits", "blank-line-1"],
-    )
+    @pytest.mark.parametrize("text", ROW_READER_CASES, ids=ROW_READER_IDS)
     def test_row_reader_decides(self, text):
         assert _loadtxt_points(text, None) is None
         got = Dataset.from_csv(io.StringIO(text)).points
@@ -213,6 +225,122 @@ class TestCsvParity:
             want = reference_read_csv(fh)
         assert Dataset.from_csv(str(path)).points.tobytes() == want.tobytes()
         assert want.tolist() == [[0.1], [0.2]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_csv(), st.booleans())
+    def test_points_bit_identical_from_a_file(self, case, pass_d):
+        text, d = case
+        d = d if pass_d else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_csv(pathlib.Path(tmp) / "data.csv", text)
+            assert _csv_file_points(path, d) is not None  # settled by numpy from the path
+            got = Dataset.from_csv(path, d=d).points
+        want = reference_read_csv(io.StringIO(text, newline=""), d)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text,d", ERROR_CASES, ids=ERROR_IDS)
+    def test_error_message_is_the_row_readers_from_a_file(self, tmp_path, text, d):
+        path = _write_csv(tmp_path / "data.csv", text)
+        with pytest.raises(ValidationError) as want:
+            reference_read_csv(io.StringIO(text, newline=""), d)
+        with pytest.raises(ValidationError) as got:
+            Dataset.from_csv(path, d=d)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text", ROW_READER_CASES, ids=ROW_READER_IDS)
+    def test_row_reader_decides_from_a_file(self, tmp_path, text):
+        path = _write_csv(tmp_path / "data.csv", text)
+        assert _csv_file_points(path, None) is None
+        got = Dataset.from_csv(path).points
+        assert got.tobytes() == reference_read_csv(io.StringIO(text, newline="")).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+class TestCsvRoutes:
+    """Only a regular file named ``*.csv`` goes to numpy by its path; every other source reads as text, as before."""
+
+    TEXT = "x1,x2\n0.1,0.2\n0.3,0.4\n"
+    POINTS = [[0.1, 0.2], [0.3, 0.4]]
+
+    @pytest.mark.parametrize("name,by_path", [("data.csv", True), ("DATA.CSV", True), ("x.csv.gz", False),
+                                              ("data.txt", False), ("data", False)])
+    def test_route_by_name(self, tmp_path, name, by_path):
+        # a plain-text x.csv.gz would go to numpy's gzip opener by its suffix
+        path = _write_csv(tmp_path / name, self.TEXT)
+        assert (_csv_file_points(path, None) is not None) == by_path
+        assert Dataset.from_csv(path).points.tolist() == self.POINTS
+
+    def test_path_like(self, tmp_path):
+        for name in ("data.csv", "data.txt"):
+            path = tmp_path / name
+            _write_csv(path, self.TEXT)
+            assert Dataset.from_csv(path).points.tolist() == self.POINTS
+
+    @pytest.fixture
+    def loadtxt_sources(self, monkeypatch):
+        """What each ``np.loadtxt`` call is given; a relative name is refused before numpy could treat it as a URL."""
+        sources, loadtxt = [], np.loadtxt
+
+        def recorded(source, *args, **kwargs):
+            sources.append(source)
+            if isinstance(source, str) and not os.path.isabs(source):
+                raise ValueError(f"relative name {source!r}")
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", recorded)
+        return sources
+
+    @pytest.mark.parametrize("name", ["http:/host/u.csv", "http://host/u.csv"])
+    def test_url_shaped_name_reads_the_local_file(self, tmp_path, monkeypatch, loadtxt_sources, name):
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        _write_csv(tmp_path / "http:" / "host" / "u.csv", self.TEXT)
+        monkeypatch.chdir(tmp_path)
+        assert Dataset.from_csv(name).points.tolist() == self.POINTS
+        assert loadtxt_sources == [str(tmp_path / "http:" / "host" / "u.csv")]
+
+    def test_header_and_blank_lines_only(self, tmp_path, loadtxt_sources):
+        # numpy warns on a file with no data row, so it is not asked to read one
+        path = _write_csv(tmp_path / "data.csv", "x1,x2\n\n  \r\n\n")
+        with pytest.raises(ValidationError, match="^no data rows found$"):
+            Dataset.from_csv(path)
+        assert loadtxt_sources == []
+
+    @pytest.mark.parametrize("at", ["header", "first-row", "past-8-KiB", "header-past-8-KiB"])
+    def test_a_byte_that_is_not_utf8(self, tmp_path, at):
+        # a stream decodes 8 KiB at a time and names a bad byte by its place in the chunk
+        rows = b"".join(b"0.1,0.2\n" for _ in range(2000))
+        data = {"header": b"x\xff1,x2\n" + rows, "first-row": b"x1,x2\n0.\xff1,0.2\n" + rows,
+                "past-8-KiB": b"x1,x2\n" + rows + b"0.\xff1,0.2\n",
+                "header-past-8-KiB": b"x" * 9000 + b"\xff1,x2\n" + rows}[at]
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as want:
+            with open(path, newline="", encoding="utf-8") as fh:
+                fh.read()  # how the text route reads a file: whole, so the error names the byte's place in it
+        with pytest.raises(UnicodeDecodeError) as got:
+            Dataset.from_csv(str(path))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_named_csv_is_opened_once(self, tmp_path):
+        # a second open of the pipe would wait for a writer that has gone: the timeout fails the test
+        fifo = tmp_path / "f.csv"
+        os.mkfifo(fifo)
+        script = (
+            "import sys, threading\n"
+            "from bernstein_simplex import Dataset\n"
+            "def write():\n"
+            "    with open(sys.argv[1], 'w') as fh:\n"
+            f"        fh.write({self.TEXT!r})\n"
+            "threading.Thread(target=write, daemon=True).start()\n"
+            "print(Dataset.from_csv(sys.argv[1]).points.tolist())\n"
+        )
+        src = str(pathlib.Path(estimators.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, str(fifo)], capture_output=True, text=True,
+                              timeout=30, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{self.POINTS}\n"
 
 
 class TestOnePassPerRow:

@@ -192,6 +192,40 @@ class TestValidatedPointsBits:
             assert np.array(point.coords).tobytes() == expected[0]
 
 
+class TestRowSums:
+    """``simplex._row_sums`` gives the bytes of ``arr.sum(axis=1)`` on a C-order array, adding a column at a time."""
+
+    @staticmethod
+    def float_rows(d: int) -> np.ndarray:
+        rng = np.random.default_rng(70 + d)
+        mixed = rng.random((500, d)) * 10.0 ** rng.integers(-12, 4, (500, d)) * rng.choice([-1.0, 1.0], (500, d))
+        near_one = rng.dirichlet(np.ones(d + 1), 500)[:, :d]
+        near_one /= near_one.sum(axis=1, keepdims=True)  # rows that sum to about 1, rounded either way
+        near_one[::2] *= 1.0 + simplex.COORD_TOLERANCE  # and rows just past 1 + tol or just inside it
+        near_one[1::4] *= 1.0 + simplex.COORD_TOLERANCE / 2
+        zeros = np.zeros((4, d))
+        if d > 1:
+            zeros[1:] = -0.0  # numpy starts from +0.0, so a row of -0.0 sums to 0.0
+            zeros[3, -1] = 0.0
+        return np.concatenate([mixed, near_one, zeros, [[np.inf] + [1.0] * (d - 1)]])
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_floats(self, d):
+        arr = self.float_rows(d)
+        got, want = simplex._row_sums(arr), arr.sum(axis=1)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_lattice_indices(self, d):
+        karr = lattice_array(4 if d > 6 else 9, d)
+        got, want = simplex._row_sums(karr), karr.sum(axis=1)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_column_is_its_own_sum(self):
+        arr = np.arange(5.0)[:, None]
+        assert np.shares_memory(simplex._row_sums(arr), arr)
+
+
 class TestLattice:
     @pytest.mark.parametrize("m,d,count", [(3, 2, 10), (0, 3, 1), (4, 3, 35)])
     def test_counts(self, m, d, count):
