@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one rule each for integers in a range, lists of integers, orders, sample sizes, seeds, real numbers and a real m and n."""
+"""Exception types shared across the package, and its one rule each for integers in a range (orders, sample sizes, seeds, counts, dimensions and indices), lists of integers, real numbers and a real m and n."""
 
 import contextlib
 import numbers
@@ -51,30 +51,6 @@ def _list_items(values: object, what: str) -> tuple:
     if isinstance(values, (str, Mapping)) or not isinstance(values, Iterable):
         raise ValidationError(f"{what} must be a list of integers, got {values!r}")
     return tuple(values)
-
-
-def _as_order(m: object, least: int) -> int:
-    """The order ``m`` as an int of at least ``least``, by :func:`_as_int`, or a :class:`ValidationError`."""
-    m = _as_int(m, "order m")
-    if m < least:
-        raise ValidationError(f"order m must be >= {least}, got {m}")
-    return m
-
-
-def _as_sample_size(n: object) -> int:
-    """The sample size ``n`` as an int of at least 1, by :func:`_as_int`, or a :class:`ValidationError`."""
-    n = _as_int(n, "sample size n")
-    if n < 1:
-        raise ValidationError(f"sample size must be >= 1, got {n}")
-    return n
-
-
-def _as_seed(seed: object) -> int:
-    """A random seed as a non-negative int, by :func:`_as_int`, or a :class:`ValidationError` naming 'seed'."""
-    seed = _as_int(seed, "'seed'")
-    if seed < 0:
-        raise ValidationError(f"'seed' must be a non-negative integer, got {seed}")
-    return seed
 
 
 def _as_real(value: object, requirement: str, holds=lambda v: True) -> float:

@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_int, _as_order
-from .simplex import SimplexPoint, _log_multinomial_pmfs, _row_sums, _validated_points, check_grid_size, lattice_array
+from .errors import ValidationError, _as_int
+from .simplex import SimplexPoint, _log_multinomial_pmfs, _row_sums, _validated_points, check_cap, lattice_array
 
 #: Row-level tolerance for CSV ingestion.
 CSV_TOLERANCE = 1e-9
@@ -103,7 +103,7 @@ def _loadtxt_points(text: str, d: int | None) -> np.ndarray | None:
     return _parsed_points(lines[0], lines[1:], lines, d)
 
 
-def _csv_file_points(path: "str | bytes", d: int | None) -> np.ndarray | None:
+def _csv_file_points(path: str, d: int | None) -> np.ndarray | None:
     """:func:`_parsed_points` of the file at ``path``, read by numpy in C chunks; ``None`` unless it is a ``.csv`` file.
 
     Only a regular file whose name ends in ``.csv`` (any case) goes to numpy,
@@ -112,7 +112,7 @@ def _csv_file_points(path: "str | bytes", d: int | None) -> np.ndarray | None:
     second time.  A byte that is not UTF-8 also leaves it ``None``, so the
     error names its position in the whole file, as the text route reads it.
     """
-    if not (isinstance(path, str) and path[-4:].lower() == ".csv" and os.path.isfile(path)):
+    if not (path[-4:].lower() == ".csv" and os.path.isfile(path)):
         return None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -138,7 +138,7 @@ class Dataset:
         return cls(arr)
 
     @classmethod
-    def from_csv(cls, source: "str | os.PathLike | io.TextIOBase", d: int | None = None) -> "Dataset":
+    def from_csv(cls, source: "str | bytes | os.PathLike | io.TextIOBase", d: int | None = None) -> "Dataset":
         """Read one observation per row from a path or a text stream; an optional non-numeric header is skipped.
 
         Rows violating the simplex constraints beyond ``CSV_TOLERANCE`` are
@@ -151,8 +151,8 @@ class Dataset:
         row, which is where every error message comes from.
         """
         d = None if d is None else _as_int(d, "dimension d", least=1)
-        if isinstance(source, (str, os.PathLike)):
-            path = os.fspath(source)
+        if isinstance(source, (str, bytes, os.PathLike)):
+            path = os.fsdecode(source)
             points = _csv_file_points(path, d)
             if points is None:
                 with open(path, newline="", encoding="utf-8") as fh:
@@ -217,7 +217,8 @@ def _grid_counts(points: np.ndarray, m: int, cubes: bool) -> np.ndarray:
     """
     n, d = points.shape
     shape = (m if cubes else m + 1,) * d
-    check_grid_size(shape)
+    cells = math.prod(shape)
+    check_cap(cells, f"grid of shape {shape} has {cells} cells")
     keys = np.empty(n, dtype=np.int64)
     for start in range(0, n, _BIN_BLOCK):
         index = _upper_grid_index(points[start : start + _BIN_BLOCK], m)
@@ -225,7 +226,7 @@ def _grid_counts(points: np.ndarray, m: int, cubes: bool) -> np.ndarray:
             index -= 1
             np.maximum(index, 0, out=index)
         keys[start : start + len(index)] = index[:, 0] if d == 1 else np.ravel_multi_index(tuple(index.T), shape)
-    return np.bincount(keys, minlength=math.prod(shape)).reshape(shape)
+    return np.bincount(keys, minlength=cells).reshape(shape)
 
 
 def _weighted_sums(cells: np.ndarray, values: np.ndarray, order: int, xs: Sequence[Sequence[float]]) -> np.ndarray:
@@ -250,7 +251,7 @@ def bernstein_cdf_many(
     sum of those counts on the ``(m+1)^d`` grid is, at ``k``, the number
     of observations with ``x <= k/m`` in every coordinate.
     """
-    m = _as_order(m, 1)
+    m = _as_int(m, "order m", least=1)
     xs = _evaluation_rows(points, data.d)
     below = _grid_counts(data.points, m, cubes=False)
     for axis in range(data.d):
@@ -310,7 +311,7 @@ def bernstein_density_many(
     1/m, and the occupied cubes' log Multinomial(m - 1) coefficients are
     built once; after that each point costs only the powers of x in their weights.
     """
-    m = _as_order(m, 1)
+    m = _as_int(m, "order m", least=1)
     xs = _evaluation_rows(points, data.d)
     cells, counts = _cube_counts(data, m)
     return m**data.d * _weighted_sums(cells, counts / data.n, m - 1, xs)

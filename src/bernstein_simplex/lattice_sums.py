@@ -17,7 +17,7 @@ import numpy as np
 
 from .asymptotics import BoundaryProfile, _boundary_factor
 from .bessel import poisson_within_one_probability
-from .errors import ValidationError, _as_int, _as_order, _as_real
+from .errors import _as_int, _as_real
 from .simplex import SimplexPoint, _log_multinomial_pmfs, _poisson_fold, _poisson_log_row, lattice_array
 
 
@@ -32,9 +32,8 @@ def sum_pmf_power(m: int, x: "SimplexPoint | float | Sequence[float]", power: in
     Refused with :class:`SizeLimitError` when the fold multiplies more
     terms than the lattice cap.
     """
-    if power not in (2, 3):
-        raise ValidationError(f"power must be 2 or 3, got {power}")
-    m = _as_order(m, 1)
+    power = _as_int(power, "power", least=2, most=3)
+    m = _as_int(m, "order m", least=1)
     x = SimplexPoint.of(x)
     big_m = m - 1
     folded = _poisson_fold(big_m, x, f"power sum for (m={m}, d={x.d})", lambda j, rate, log_row: np.exp(power * log_row))
@@ -53,7 +52,7 @@ def min_coupling_sum(m: int, x_p: float) -> float:
     is computed in O(m) through the survival-function identity
     ``E[min(K, L)] = sum_t P(K >= t)^2`` and is always <= 0.
     """
-    m = _as_order(m, 1)
+    m = _as_int(m, "order m", least=1)
     x_p = _as_real(x_p, "x_p must lie strictly in (0, 1)", lambda v: 0 < v < 1)
     pmf = np.exp(next(_log_multinomial_pmfs(lattice_array(m, 1), m, [(x_p,)])))
     # survival[t] = P(K >= t); reversed cumsum avoids cancellation in the tail

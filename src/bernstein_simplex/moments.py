@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _as_int, _as_order, _list_items
+from .errors import ValidationError, _as_int, _list_items
 from .simplex import SimplexPoint, _poisson_fold, _shares
 
 
@@ -34,7 +34,7 @@ class MomentQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", SimplexPoint.of(self.x))
-        object.__setattr__(self, "m", _as_order(self.m, 0))
+        object.__setattr__(self, "m", _as_int(self.m, "order m", least=0))
         indices = _moment_indices(self.indices, self.x.d)
         if not 2 <= len(indices) <= 4:
             raise ValidationError(f"moment order must be 2..4, got {len(indices)}")
@@ -104,5 +104,5 @@ def fourth_moment_scaling(
         raise ValidationError(f"need exactly 4 indices, got {len(indices)}")
     point = SimplexPoint.of(x)
     indices = _moment_indices(indices, point.d)  # checked here too, so an empty grid refuses what a full one does
-    orders = [_as_order(m, 1) for m in _list_items(m_grid, "m_grid")]  # m = 0 would divide by zero below
+    orders = [_as_int(m, "order m", least=1) for m in _list_items(m_grid, "m_grid")]  # m = 0 would divide by zero below
     return [abs(central_moment_bruteforce(MomentQuery(m=m, x=point, indices=indices))) / float(m) ** 2 for m in orders]

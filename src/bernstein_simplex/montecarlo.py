@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .asymptotics import BoundaryProfile, cdf_mse, density_mse
-from .errors import ValidationError, _as_int, _as_order, _as_sample_size, _as_seed, _list_items
+from .errors import ValidationError, _as_int, _list_items
 from .estimators import Dataset, bernstein_cdf, bernstein_density
 from .models import DensityModel, dirichlet_model, uniform_model
 from .simplex import SimplexPoint
@@ -42,8 +42,8 @@ def sample(model: DensityModel, n: int, seed: "int | np.random.Generator") -> Da
     """
     if model.sampler is None:
         raise ValidationError(f"model {model.name!r} is not sampleable")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_as_seed(seed))
-    return Dataset(model.sampler(rng, _as_sample_size(n)))
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_as_int(seed, "'seed'", least=0))
+    return Dataset(model.sampler(rng, _as_int(n, "sample size n", least=1)))
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,13 @@ def _check_kind(kind: object, what: str) -> None:
 
 
 def _check_design(kind: str, m: object, n: object, replicates: object, seed: object) -> tuple[int, int, int, int]:
-    """A Monte Carlo cell's order, sample size, replicate count and seed as ints, or a :class:`ValidationError`."""
+    """A Monte Carlo cell's order, sample size, replicate count and seed as ints, or a :class:`ValidationError`.
+
+    Checked in the order kind, replicates, m, n, seed: a design with several faults is refused for the first.
+    """
     _check_kind(kind, "'kind'")
-    replicates = _as_int(replicates, "'replicates'")
-    if replicates < 2:
-        raise ValidationError(f"need at least 2 replicates, got {replicates}")
-    return _as_order(m, 1), _as_sample_size(n), replicates, _as_seed(seed)
+    replicates = _as_int(replicates, "'replicates'", least=2)
+    return _as_int(m, "order m", least=1), _as_int(n, "sample size n", least=1), replicates, _as_int(seed, "'seed'", least=0)
 
 
 @dataclass(frozen=True)

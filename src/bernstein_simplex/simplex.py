@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError, ValidationError, _as_int, _as_order, _as_real
+from .errors import SizeLimitError, ValidationError, _as_int, _as_real
 
 #: Tolerance used when validating simplex membership of a single point.
 COORD_TOLERANCE = 1e-12
@@ -140,7 +140,7 @@ class SimplexPoint:
 
 def lattice_size(m: int, d: int) -> int:
     """Number of nonnegative integer vectors of length ``d >= 1`` with sum <= ``m >= 0``."""
-    m = _as_order(m, 0)
+    m = _as_int(m, "order m", least=0)
     d = _as_int(d, "dimension d", least=1)
     return math.comb(m + d, d)
 
@@ -151,20 +151,6 @@ def check_cap(count: int, what: str) -> None:
         raise SizeLimitError(f"{what}, exceeding the cap of {MAX_LATTICE_SIZE}")
 
 
-def check_lattice_size(m: int, d: int) -> tuple[int, int]:
-    """``(m, d)`` as ints, or an error if either is invalid or the lattice exceeds the cap."""
-    size = lattice_size(m, d)
-    m, d = int(m), int(d)
-    check_cap(size, f"lattice for (m={m}, d={d}) has {size} points")
-    return m, d
-
-
-def check_grid_size(shape: Sequence[int]) -> None:
-    """Refuse a dense grid of ``shape`` with more cells than the lattice cap."""
-    cells = math.prod(shape)
-    check_cap(cells, f"grid of shape {tuple(shape)} has {cells} cells")
-
-
 def lattice_array(m: int, d: int) -> np.ndarray:
     """All integer vectors ``k >= 0`` with ``sum(k) <= m``, as an ``(N, d)`` int array.
 
@@ -173,7 +159,9 @@ def lattice_array(m: int, d: int) -> np.ndarray:
     at a time: each row of the shorter lattice is repeated once for every
     value ``0..m - sum(row)`` the new coordinate can take.
     """
-    m, d = check_lattice_size(m, d)
+    m, d = _as_int(m, "order m", least=0), _as_int(d, "dimension d", least=1)
+    size = lattice_size(m, d)
+    check_cap(size, f"lattice for (m={m}, d={d}) has {size} points")
     out = np.arange(m + 1, dtype=np.int64)[:, None]
     for width in range(2, d + 1):
         room = m + 1 - _row_sums(out)

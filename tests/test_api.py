@@ -111,13 +111,10 @@ def test_only_the_cli_writes_csv():
 #: the message of each shared precondition -> the one module whose function raises it
 ONE_RULE = {
     "beyond tolerance": "simplex",
-    "order m must be >= ": "errors",
     "point dimension": "estimators",
-    "need at least 2 replicates": "montecarlo",
-    "sample size must be >= ": "errors",
-    "must be a non-negative integer": "errors",
     "Dirichlet parameters": "models",
-    "must be {bounds}, got ": "errors",  # integers in a range: dimension, 1-based index, worker threads, Bessel order
+    # integers in a range: order, sample size, seed, replicates, power, dimension, 1-based index, threads, Bessel order
+    "must be {bounds}, got ": "errors",
     "must be a list of integers": "errors",  # grids, moment indices, psi subsets
     "must be 'density' or 'cdf'": "montecarlo",
     "must be a finite positive number": "errors",
@@ -131,6 +128,22 @@ def test_each_precondition_has_one_rule():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
     for text, module in ONE_RULE.items():
         assert sorted(name for name, source in sources.items() if text in source) == [module], text
+
+
+#: module -> its functions that hold a rule's bound: the private ones of errors and the check_* ones of simplex
+RULE_FUNCTIONS = {"errors": {"_as_int", "_list_items", "_as_real", "_check_mn"}, "simplex": {"check_cap"}}
+
+
+def test_rules_have_no_wrappers():
+    # a wrapper that restates a bound of _as_int or check_cap has to change this on purpose
+    found = {}
+    for name, prefix in (("errors", "_"), ("simplex", "check_")):
+        module = importlib.import_module(f"bernstein_simplex.{name}")
+        found[name] = {
+            key for key, value in vars(module).items()
+            if isinstance(value, types.FunctionType) and value.__module__ == module.__name__ and key.startswith(prefix)
+        }
+    assert found == RULE_FUNCTIONS
 
 
 def test_row_sums_have_one_rule():

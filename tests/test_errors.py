@@ -1,22 +1,31 @@
 """The package's one rule for integer inputs (ints and their exact spellings pass, nothing is truncated) and for real ones."""
 
+import re
+
 import numpy as np
 import pytest
 
 from bernstein_simplex import (
     BoundaryProfile,
+    Dataset,
     Experiment,
     MomentQuery,
     SimplexPoint,
     ValidationError,
+    bernstein_cdf_many,
+    bernstein_density_many,
     bessel_i,
     bessel_i_scaled,
     dirichlet_model,
     fourth_moment_scaling,
+    lattice_array,
+    lattice_size,
+    mc_bias_variance,
     min_coupling_factor,
     min_coupling_sum,
     poisson_equal_probability,
     psi,
+    sample,
     sum_pmf_power,
 )
 from bernstein_simplex.errors import _as_int, _as_real
@@ -102,9 +111,57 @@ def test_an_integral_float_order_is_the_integer_order(bessel, nu):
     assert type(bessel(float(nu), 2.0).order) is int
 
 
-def _experiment(m_grid):
+def _experiment(m_grid, replicates=2, seed=1):
     return Experiment(model_name="uniform", model_params={"d": 1}, profile=BoundaryProfile(d=1, boundary={1: 1.0}),
-                      kind="density", m_grid=m_grid, n_grid=(100,), replicates=2, seed=1)
+                      kind="density", m_grid=m_grid, n_grid=(100,), replicates=replicates, seed=seed)
+
+
+_DATA = Dataset.from_points([0.3, 0.6])
+_BETA22 = dirichlet_model([2, 2])
+
+
+def _mc(**fields):
+    return mc_bias_variance(_BETA22, 0.3, **dict(dict(m=10, n=100, replicates=5, seed=0, kind="density"), **fields))
+
+
+#: each integer argument, through its public entry -> (the call with the value, the argument's label, its least value)
+INTEGER_ARGUMENTS = {
+    "density-m": (lambda v: bernstein_density_many(_DATA, v, [0.5]), "order m", 1),
+    "cdf-m": (lambda v: bernstein_cdf_many(_DATA, v, [0.5]), "order m", 1),
+    "power-sum-m": (lambda v: sum_pmf_power(v, 0.5, 2), "order m", 1),
+    "coupling-sum-m": (lambda v: min_coupling_sum(v, 0.5), "order m", 1),
+    "fourth-moment-m": (lambda v: fourth_moment_scaling([v], (0.2, 0.3), (1, 1, 2, 2)), "order m", 1),
+    "lattice-size-m": (lambda v: lattice_size(v, 2), "order m", 0),
+    "lattice-array-m": (lambda v: lattice_array(v, 2), "order m", 0),
+    "moment-query-m": (lambda v: MomentQuery(m=v, x=(0.2, 0.3), indices=(1, 1)), "order m", 0),
+    "sample-n": (lambda v: sample(_BETA22, v, 0), "sample size n", 1),
+    "sample-seed": (lambda v: sample(_BETA22, 10, v), "'seed'", 0),
+    "mc-replicates": (lambda v: _mc(replicates=v), "'replicates'", 2),
+    "mc-seed": (lambda v: _mc(seed=v), "'seed'", 0),
+    "experiment-replicates": (lambda v: _experiment((10,), replicates=v), "'replicates'", 2),
+    "experiment-seed": (lambda v: _experiment((10,), seed=v), "'seed'", 0),
+}
+
+
+@pytest.mark.parametrize("refused", ["below", "fraction", "bool"])
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_arguments_have_one_rule(argument, refused):
+    call, what, least = INTEGER_ARGUMENTS[argument]
+    value, rule = {"below": (least - 1, f">= {least}"), "fraction": (2.5, "an integer"), "bool": (True, "an integer")}[refused]
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{what} must be {rule}, got {value}')}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("power,message", [(1, "in 2..3, got 1"), (4, "in 2..3, got 4"), (True, "an integer, got True")])
+def test_power_is_2_or_3(power, message):
+    with pytest.raises(ValidationError, match=f"^power must be {message}$"):
+        sum_pmf_power(5, 0.5, power)
+
+
+@pytest.mark.parametrize("power", [2.0, np.int64(2), "2"])
+def test_power_is_read_as_an_integer(power):
+    # "2" was refused as "power must be 2 or 3, got 2"
+    assert sum_pmf_power(5, 0.5, power) == sum_pmf_power(5, 0.5, 2)
 
 
 @pytest.mark.parametrize(

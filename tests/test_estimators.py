@@ -2,6 +2,7 @@ import io
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -275,6 +276,19 @@ class TestCsvRoutes:
             path = tmp_path / name
             _write_csv(path, self.TEXT)
             assert Dataset.from_csv(path).points.tolist() == self.POINTS
+
+    @pytest.mark.parametrize("name", ["data.csv", "data.txt"])
+    def test_str_bytes_and_path_names_read_alike(self, tmp_path, name):
+        # a bytes name ended in "AttributeError: 'bytes' object has no attribute 'read'"
+        path = _write_csv(tmp_path / name, self.TEXT)
+        got = [Dataset.from_csv(source).points for source in (path, os.fsencode(path), pathlib.Path(path))]
+        assert got[0].tolist() == self.POINTS
+        assert [points.tobytes() for points in got] == [got[0].tobytes()] * 3
+
+    def test_bytes_csv_name_goes_to_numpy(self, tmp_path, loadtxt_sources):
+        path = _write_csv(tmp_path / "data.csv", self.TEXT)
+        assert Dataset.from_csv(os.fsencode(path)).points.tolist() == self.POINTS
+        assert loadtxt_sources == [path]
 
     @pytest.fixture
     def loadtxt_sources(self, monkeypatch):
@@ -588,6 +602,13 @@ class TestGridCap:
         code = main(["estimate", "--data", str(path), "--m", "12", "--kind", kind, "--points", str(path)])
         assert code == 2
         assert "exceeding" in capsys.readouterr().err
+
+
+def test_grid_cap_message():
+    # the dense grid of a d = 1 density at m = 1e9 is refused, by its shape and size, before it is allocated
+    message = "grid of shape (1000000000,) has 1000000000 cells, exceeding the cap of 100000000"
+    with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
+        bernstein_density_many(Dataset.from_points([0.5]), 10**9, [0.5])
 
 
 class TestBernsteinDensity:

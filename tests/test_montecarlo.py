@@ -55,7 +55,7 @@ class TestSampling:
             sample(bare, 10, seed=0)
 
     def test_seed_and_size_rules(self, dir222):
-        with pytest.raises(ValidationError, match="'seed' must be a non-negative integer"):
+        with pytest.raises(ValidationError, match="'seed' must be >= 0, got -1"):
             sample(dir222, 10, -1)
         with pytest.raises(ValidationError, match="sample size n must be an integer"):
             sample(dir222, 2.5, 1)
@@ -128,7 +128,7 @@ class TestMcBiasVariance:
 
     @pytest.mark.parametrize(
         "field,value,message",
-        [("seed", -5, "'seed' must be a non-negative integer"), ("replicates", 2.5, "'replicates' must be an integer"),
+        [("seed", -5, "'seed' must be >= 0, got -5"), ("replicates", 2.5, "'replicates' must be an integer"),
          ("m", 2.5, "order m must be an integer"), ("n", 2.5, "sample size n must be an integer"),
          ("threads", 0, "'threads' must be >= 1, got 0"), ("threads", -1, "'threads' must be >= 1, got -1"),
          ("threads", 2.5, "'threads' must be an integer, got 2.5"), ("kind", "mode", "'kind' must be 'density' or 'cdf'")],

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -284,6 +285,13 @@ class TestLattice:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             lattice_array(10**5, 2)
+
+    @pytest.mark.parametrize("m,d", [(20000, 2), (20000.0, np.int64(2)), ("20000", 2.0)])
+    def test_size_guard_message(self, m, d):
+        # the message names m and d as the ints they are read as
+        message = "lattice for (m=20000, d=2) has 200030001 points, exceeding the cap of 100000000"
+        with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
+            lattice_array(m, d)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [0, 1, 5, 30])
